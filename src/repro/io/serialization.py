@@ -780,11 +780,13 @@ def serve_status_to_dict(status: "StudyStatus") -> Dict[str, Any]:
          "queue_position": null,        // 0-based while queued
          "progress": { ... },           // Progress.to_dict(), or null
          "error": null,                 // failure message when failed
-         "result_ready": false}         // GET ?result=1 will succeed
+         "result_ready": false}         // GET /v1/studies/{id}/result
+                                        // will succeed
 
     The finished :class:`~repro.study.result.StudyResult` document
     itself is *not* re-pinned here — it already carries its own
-    ``RESULT_VERSION``.
+    ``RESULT_VERSION``.  The server adds it under ``result`` (``null``
+    until done) by splicing in the stored ``/result`` bytes.
     """
     return _serve_envelope("status", status)
 

@@ -185,7 +185,14 @@ class ServeClient:
         )
 
     def status(self, study_id: str) -> Dict[str, Any]:
-        """The status envelope (plus embedded result once done)."""
+        """The parsed ``GET /v1/studies/{id}`` status envelope.
+
+        Its ``result`` member is the parsed StudyResult document once
+        the study is done and ``None`` before.  Raises
+        :class:`~repro.errors.UnknownStudyError` for an id the server
+        never saw or has since forgotten; use :meth:`result_text` for
+        the exact result text.
+        """
         return self._json("GET", f"/v1/studies/{study_id}")
 
     def result_text(self, study_id: str) -> Optional[str]:

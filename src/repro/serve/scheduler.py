@@ -17,15 +17,15 @@ synchronous PR-4 execution stack.  A :class:`StudyScheduler` owns
   serves);
 * **request coalescing** — studies are registered by spec content
   digest (:class:`~repro.serve.state.StudyStore`), so identical specs
-  submitted while one is queued, running, or already finished all
-  resolve to the same record and exactly one execution; the batch
-  cache already keys results this way, the scheduler extends the same
-  idea across HTTP clients.
+  submitted while one is queued, running, or finished and still
+  retained all resolve to the same record and exactly one execution;
+  the batch cache already keys results this way, the scheduler extends
+  the same idea across HTTP clients.
 
 Everything observable is counted on the scheduler's
 :class:`~repro.obs.tracer.Tracer` (``serve.studies.*`` counters,
-``serve.queue_depth`` gauge) — the numbers ``GET /v1/stats`` serves
-and the benchmarks assert on.
+``serve.queue_depth`` and ``serve.registry.bytes`` gauges) — the
+numbers ``GET /v1/stats`` serves and the benchmarks assert on.
 """
 
 from __future__ import annotations
@@ -281,8 +281,12 @@ class StudyScheduler:
                 tracer=study_tracer,
                 progress=_RecordProgress(record),
             )
-            record.mark_done(result.to_json())
+            evicted, retained_bytes = self.store.finish(
+                record, result.to_json().encode("utf-8")
+            )
             self.tracer.counter("serve.studies.completed").add()
+            self.tracer.counter("serve.studies.evicted").add(evicted)
+            self.tracer.gauge("serve.registry.bytes").set(retained_bytes)
         except Exception as exc:
             record.mark_failed(f"{type(exc).__name__}: {exc}")
             self.tracer.counter("serve.studies.failed").add()

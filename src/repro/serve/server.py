@@ -36,7 +36,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError, ServiceUnavailableError
 from ..io.serialization import SERVE_PROTOCOL_VERSION
@@ -53,7 +53,7 @@ from .protocol import (
     run_analyze,
 )
 from .scheduler import StudyScheduler
-from .state import StudyRecord, StudyStore
+from .state import DEFAULT_RETAIN_BYTES, StudyRecord, StudyStore
 
 __all__ = ["ServeConfig", "ReproServer", "ServerHandle"]
 
@@ -63,6 +63,11 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 
 #: Largest request-line + header block accepted.
 MAX_HEADER_BYTES = 32 * 1024
+
+#: Stands in for the embedded result while the status envelope is
+#: encoded; the stored result bytes are written in its place.
+_RESULT_PLACEHOLDER = "\u0000result\u0000"
+_RESULT_PLACEHOLDER_JSON = json.dumps(_RESULT_PLACEHOLDER).encode("ascii")
 
 _REASONS = {
     200: "OK",
@@ -93,6 +98,7 @@ class ServeConfig:
     distrib_root: Optional[str] = None  # per-study distributed work dirs
     request_concurrency: int = 32  # concurrently served HTTP requests
     progress_poll_s: float = 0.25  # stream wake-up cadence
+    retain_bytes: int = DEFAULT_RETAIN_BYTES  # finished-result budget
 
 
 class _HttpError(ReproError):
@@ -134,7 +140,7 @@ class ReproServer:
         # snapshots, so scheduler and front-door counters land in the
         # same namespace.
         self.tracer = tracer if tracer is not None else Tracer()
-        self.store = StudyStore()
+        self.store = StudyStore(retain_bytes=self.config.retain_bytes)
         self.scheduler = StudyScheduler(
             store=self.store,
             max_concurrent=self.config.max_concurrent,
@@ -420,14 +426,21 @@ class ReproServer:
             result_ready=state == "done",
         )
         doc = status.to_dict()
-        # The issue contract: the status endpoint carries the full
-        # StudyResult document once the study is done (clients that
-        # need the bitwise-exact text use /result instead).
-        result_json = record.result_json()
-        doc["result"] = (
-            json.loads(result_json) if result_json is not None else None
+        # Once done the envelope embeds the full StudyResult document.
+        # Only the small envelope is encoded here: the stored result
+        # bytes are spliced in at the placeholder, never re-encoded.
+        result = record.result_bytes()
+        if result is None:
+            doc["result"] = None
+            self._write_json(writer, 200, doc)
+            return self._keep_alive(request)
+        doc["result"] = _RESULT_PLACEHOLDER
+        envelope = json.dumps(doc, sort_keys=True).encode("utf-8")
+        head, _, tail = envelope.partition(_RESULT_PLACEHOLDER_JSON)
+        self._write_raw(
+            writer, 200, (head, result, tail),
+            content_type="application/json",
         )
-        self._write_json(writer, 200, doc)
         return self._keep_alive(request)
 
     def _respond_result(
@@ -446,8 +459,8 @@ class ReproServer:
                 ),
             )
             return self._keep_alive(request)
-        result_json = record.result_json()
-        if result_json is None:
+        result = record.result_bytes()
+        if result is None:
             # Not an error: the study exists but has not finished.
             # 202 + the status envelope tells the client to keep
             # polling (Retry-After carries the scheduler's estimate).
@@ -469,11 +482,10 @@ class ReproServer:
                 },
             )
             return self._keep_alive(request)
-        # The stored text verbatim: every waiter receives the same
+        # The stored bytes verbatim: every waiter receives the same
         # bytes, so fan-out is bitwise identical by construction.
         self._write_raw(
-            writer, 200, result_json.encode("utf-8"),
-            content_type="application/json",
+            writer, 200, (result,), content_type="application/json"
         )
         return self._keep_alive(request)
 
@@ -563,7 +575,7 @@ class ReproServer:
     ) -> None:
         payload = json.dumps(doc, sort_keys=True).encode("utf-8")
         self._write_raw(
-            writer, status, payload,
+            writer, status, (payload,),
             content_type="application/json",
             extra_headers=extra_headers,
         )
@@ -572,21 +584,26 @@ class ReproServer:
         self,
         writer: asyncio.StreamWriter,
         status: int,
-        payload: bytes,
+        parts: Sequence[bytes],
         content_type: str,
         extra_headers: Optional[Mapping[str, str]] = None,
     ) -> None:
+        """Write one response whose body is ``parts`` back to back.
+
+        The parts are written one by one, never joined, so a stored
+        result goes to the transport without another copy.
+        """
         reason = _REASONS.get(status, "Unknown")
         head = [
             f"HTTP/1.1 {status} {reason}",
             f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
+            f"Content-Length: {sum(len(part) for part in parts)}",
         ]
         for name, value in (extra_headers or {}).items():
             head.append(f"{name}: {value}")
-        writer.write(
-            ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
-        )
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1"))
+        for part in parts:
+            writer.write(part)
 
 
 class ServerHandle:

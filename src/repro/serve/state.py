@@ -2,7 +2,7 @@
 
 A :class:`StudyRecord` is the single source of truth for one submitted
 study: its lifecycle state, the latest progress snapshot, and (once
-finished) the exact ``StudyResult`` JSON text every waiter receives.
+finished) the exact ``StudyResult`` JSON bytes every waiter receives.
 Records are keyed by the spec's content digest
 (:meth:`~repro.study.spec.StudySpec.content_digest`) — the same digest
 the batch layer's checkpoint manifests pin — which is what makes
@@ -14,19 +14,28 @@ All mutation happens under the record's condition variable; the
 asyncio front door and the scheduler's worker threads only ever
 observe consistent snapshots, and progress streams block on
 :meth:`StudyRecord.wait_update` instead of polling raw fields.
+
+The :class:`StudyStore` keeps finished results within a byte budget:
+a least-recently-used order over done records evicts the oldest once
+the retained result bytes exceed ``retain_bytes``.  Queued and running
+records are never evicted, nor is the newest finished one.  An evicted
+study is forgotten; submitting its spec again recomputes it (or, with
+a checkpoint root, resumes it from its shard records).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..errors import UnknownStudyError
+from ..errors import ConfigurationError, UnknownStudyError
 from ..io.serialization import STUDY_STATES
 from ..study.spec import StudySpec
 
 __all__ = [
+    "DEFAULT_RETAIN_BYTES",
     "StudyRecord",
     "StudyStore",
     "study_id_for_digest",
@@ -36,6 +45,9 @@ __all__ = [
 #: 16 hex chars are ~2^-64 per pair — and a collision only merges two
 #: studies the digest already calls identical).
 _ID_DIGEST_CHARS = 16
+
+#: Default budget for retained finished-result bytes (32 MiB).
+DEFAULT_RETAIN_BYTES = 32 * 1024 * 1024
 
 
 def study_id_for_digest(digest: str) -> str:
@@ -54,7 +66,7 @@ class StudyRecord:
         self._state = "queued"
         self._seq = 0
         self._progress: Optional[Dict[str, Any]] = None
-        self._result_json: Optional[str] = None
+        self._result: Optional[bytes] = None
         self._error: Optional[str] = None
         self.created_clock = perf_counter()
         self.started_clock: Optional[float] = None
@@ -86,11 +98,11 @@ class StudyRecord:
         with self._condition:
             return self._state in ("done", "failed")
 
-    def result_json(self) -> Optional[str]:
-        """The finished result's JSON text; every waiter gets this
-        same string, so fan-out is bitwise identical by construction."""
+    def result_bytes(self) -> Optional[bytes]:
+        """The finished result's UTF-8 JSON; every waiter gets these
+        same bytes, so fan-out is bitwise identical by construction."""
         with self._condition:
-            return self._result_json
+            return self._result
 
     def snapshot(self) -> Tuple[int, str, Optional[Dict[str, Any]]]:
         """One consistent ``(seq, state, progress)`` view."""
@@ -129,10 +141,10 @@ class StudyRecord:
             self._progress = dict(progress)
             self._bump()
 
-    def mark_done(self, result_json: str) -> None:
+    def mark_done(self, result: bytes) -> None:
         with self._condition:
             self._state = "done"
-            self._result_json = result_json
+            self._result = result
             self.finished_clock = perf_counter()
             self._bump()
 
@@ -188,29 +200,66 @@ class StudyRecord:
 
 
 class StudyStore:
-    """The digest-keyed registry of every study this server has seen."""
+    """The digest-keyed registry of live and recently finished studies.
 
-    def __init__(self) -> None:
+    Finished results are retained within ``retain_bytes``; see the
+    module docstring for the eviction rules.
+    """
+
+    def __init__(self, retain_bytes: int = DEFAULT_RETAIN_BYTES) -> None:
+        if retain_bytes < 1:
+            raise ConfigurationError(
+                f"retain_bytes must be >= 1, got {retain_bytes}"
+            )
+        self.retain_bytes = retain_bytes
         self._lock = threading.Lock()
         self._by_id: Dict[str, StudyRecord] = {}
+        # Done records, least recently used first, with their sizes.
+        self._finished: OrderedDict[str, int] = OrderedDict()
+        self._retained = 0
 
     def register(self, spec: StudySpec) -> Tuple[StudyRecord, bool]:
         """The record for ``spec``, creating it on first sight.
 
         Returns ``(record, created)``; ``created=False`` is the
         coalescing path — the caller joins an existing submission
-        (queued, running, or already finished) instead of enqueuing a
-        duplicate execution.
+        (queued, running, or finished and still retained) instead of
+        enqueuing a duplicate execution.
         """
         digest = spec.content_digest()
         study_id = study_id_for_digest(digest)
         with self._lock:
             record = self._by_id.get(study_id)
             if record is not None:
+                self._touch_locked(study_id)
                 return record, False
             record = StudyRecord(spec, digest)
             self._by_id[study_id] = record
             return record, True
+
+    def finish(self, record: StudyRecord, result: bytes) -> Tuple[int, int]:
+        """Mark ``record`` done with ``result`` and retain its bytes.
+
+        The record becomes the most recently used; older finished
+        records are evicted, least recently used first, until the
+        retained bytes fit the budget or only this record is left.
+        Both happen under the store lock, so a client that sees the
+        study done also sees the evictions it caused.  Returns
+        ``(evicted, retained_bytes)``.
+        """
+        evicted = 0
+        with self._lock:
+            record.mark_done(result)
+            self._finished[record.study_id] = len(result)
+            self._retained += len(result)
+            while self._retained > self.retain_bytes and (
+                len(self._finished) > 1
+            ):
+                study_id, old_size = self._finished.popitem(last=False)
+                del self._by_id[study_id]
+                self._retained -= old_size
+                evicted += 1
+            return evicted, self._retained
 
     def discard(self, study_id: str) -> None:
         """Forget a record (used when a fresh submission is rejected
@@ -221,12 +270,27 @@ class StudyStore:
     def get(self, study_id: str) -> StudyRecord:
         with self._lock:
             record = self._by_id.get(study_id)
+            if record is not None:
+                self._touch_locked(study_id)
         if record is None:
             raise UnknownStudyError(
-                f"unknown study id {study_id!r}; ids are returned by "
-                f"POST /v1/studies and look like 'study-<digest16>'"
+                f"unknown or expired study id {study_id!r}; ids are "
+                f"returned by POST /v1/studies and look like "
+                f"'study-<digest16>', and a finished study is forgotten "
+                f"once newer results fill the server's retention budget "
+                f"(resubmit its spec to compute it again)"
             )
         return record
+
+    @property
+    def retained_bytes(self) -> int:
+        """Result bytes currently held by finished records."""
+        with self._lock:
+            return self._retained
+
+    def _touch_locked(self, study_id: str) -> None:
+        if study_id in self._finished:
+            self._finished.move_to_end(study_id)
 
     def __len__(self) -> int:
         with self._lock:

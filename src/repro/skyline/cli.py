@@ -240,6 +240,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default 16)",
     )
     serve.add_argument(
+        "--retain-mb", type=int, default=32,
+        help="MiB of finished results kept for status, result and "
+        "coalescing; older results are forgotten first (default 32)",
+    )
+    serve.add_argument(
         "--max-concurrent", type=int, default=1,
         help="studies executing at once (default 1)",
     )
@@ -558,6 +563,12 @@ def _run_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.retain_mb < 1:
+        print(
+            f"error: --retain-mb must be >= 1, got {args.retain_mb}",
+            file=sys.stderr,
+        )
+        return 2
     if args.max_concurrent < 1:
         print(
             f"error: --max-concurrent must be >= 1, got "
@@ -599,6 +610,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         chunk_rows=args.chunk_rows,
         checkpoint_root=args.checkpoint_root,
         distrib_root=args.distrib_root,
+        retain_bytes=args.retain_mb * 1024 * 1024,
     )
     handle = ServerHandle(config).start()
     # Diagnostics to stderr, like every other subcommand.
@@ -606,7 +618,7 @@ def _run_serve(args: argparse.Namespace) -> int:
         f"repro-skyline serve listening on "
         f"http://{args.host}:{handle.port} "
         f"(max_concurrent={args.max_concurrent}, "
-        f"max_queue={args.max_queue})",
+        f"max_queue={args.max_queue}, retain_mb={args.retain_mb})",
         file=sys.stderr,
     )
     try:

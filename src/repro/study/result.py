@@ -41,6 +41,27 @@ from .spec import (
 RESULT_VERSION = 1
 
 
+def _append_members(doc: Dict[str, Any], parts: List[str]) -> None:
+    """Append the pieces of ``json.dumps(doc)``, one call per member.
+
+    Nested string-keyed mappings are split the same way, so each call
+    encodes at most one column; ``"".join(parts)`` is byte-identical
+    to ``json.dumps(doc)``.
+    """
+    if not all(isinstance(key, str) for key in doc):
+        parts.append(json.dumps(doc))
+        return
+    separator = "{"
+    for key, value in doc.items():
+        parts.append(separator + json.dumps(key) + ": ")
+        if isinstance(value, dict):
+            _append_members(value, parts)
+        else:
+            parts.append(json.dumps(value))
+        separator = ", "
+    parts.append("}" if doc else "{}")
+
+
 # eq=False: ndarray fields; identity semantics — use :meth:`equals`.
 @dataclass(frozen=True, eq=False)
 class StudyResult:
@@ -249,7 +270,18 @@ class StudyResult:
         )
 
     def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        """``json.dumps(self.to_dict(), indent=indent)``, byte for byte.
+
+        Compact output (``indent=None``) is built one ``json.dumps``
+        per member and per column, so no single encoder call holds the
+        GIL for the whole document: a server thread encoding a large
+        result leaves room for the requests beside it.
+        """
+        if indent is not None:
+            return json.dumps(self.to_dict(), indent=indent)
+        parts: List[str] = []
+        _append_members(self.to_dict(), parts)
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "StudyResult":

@@ -736,7 +736,7 @@ class TestServeDistrib:
             assert record.state == "done"
         finally:
             scheduler.shutdown()
-        served = StudyResult.from_json(record.result_json())
+        served = StudyResult.from_json(record.result_bytes().decode("utf-8"))
         serial = run_study(spec)
         assert batch_results_equal(serial.batch, served.batch)
         # The study ran in a joinable per-study work dir under the root.

@@ -126,6 +126,24 @@ class TestStudyLifecycle:
             run_study(spec)
         )
 
+    def test_status_splices_the_stored_result_bytes(self, server, client):
+        spec = _spec(24, start=0.05)
+        ack = client.submit(spec.to_dict())
+        text = client.wait_result(ack["study_id"], timeout_s=60)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port)
+        try:
+            conn.request("GET", f"/v1/studies/{ack['study_id']}")
+            response = conn.getresponse()
+            body = response.read()
+        finally:
+            conn.close()
+        assert response.status == 200
+        assert int(response.getheader("Content-Length")) == len(body)
+        assert text.encode("utf-8") in body  # verbatim, not re-encoded
+        status = json.loads(body)
+        assert status["kind"] == "status"
+        assert status["result"] == json.loads(text)
+
     def test_unknown_study_id_is_404(self, client):
         with pytest.raises(UnknownStudyError, match="study-nope"):
             client.status("study-nope")
@@ -415,7 +433,7 @@ class TestStateUnits:
 
     def test_wait_update_returns_immediately_when_done(self):
         record = StudyRecord(_spec(4), "cd" * 32)
-        record.mark_done('{"x": 1}')
+        record.mark_done(b'{"x": 1}')
         started = perf_counter()
         seq, state, _ = record.wait_update(last_seq=99, timeout_s=5.0)
         assert perf_counter() - started < 1.0
@@ -490,6 +508,149 @@ class TestProtocolUnits:
             serve_envelope_from_dict({**good, "state": "paused"})
 
 
+class TestStatusWhileUnfinished:
+    def test_queued_and_running_status_have_null_result(self, monkeypatch):
+        gate = threading.Event()
+
+        class _StubResult:
+            def to_json(self) -> str:
+                return '{"stub": true}'
+
+        def gated_run_study(spec, **kwargs):
+            gate.wait(30)
+            return _StubResult()
+
+        monkeypatch.setattr(scheduler_mod, "run_study", gated_run_study)
+        handle = ServerHandle(ServeConfig(max_concurrent=1)).start()
+        try:
+            with ServeClient(port=handle.port) as c:
+                running = c.submit(_spec(8, start=0.13).to_dict())
+                deadline = perf_counter() + 10
+                while c.status(running["study_id"])["state"] != "running":
+                    assert perf_counter() < deadline
+                    sleep(0.01)
+                queued = c.submit(_spec(8, start=0.14).to_dict())
+                for ack, state in ((running, "running"), (queued, "queued")):
+                    status = c.status(ack["study_id"])
+                    assert status["state"] == state
+                    assert status["result_ready"] is False
+                    assert status["result"] is None
+                gate.set()
+                text = c.wait_result(queued["study_id"], timeout_s=10)
+                assert text == '{"stub": true}'
+                assert c.status(queued["study_id"])["result"] == {
+                    "stub": True
+                }
+        finally:
+            gate.set()
+            handle.stop()
+
+
+def _without_telemetry(text: str) -> str:
+    """The result text minus its run-specific ``telemetry`` member
+    (the last one ``to_json`` writes)."""
+    at = text.rfind(', "telemetry": ')
+    return text if at < 0 else text[:at] + "}"
+
+
+def _stats_once_executed(client: ServeClient, executed: int):
+    """``/v1/stats`` once ``executed`` studies have been fully counted
+    (a worker counts a study just after its result becomes visible)."""
+    deadline = perf_counter() + 10
+    while True:
+        stats = client.stats()
+        if stats["counters"].get("serve.studies.executed") == executed:
+            return stats
+        assert perf_counter() < deadline
+        sleep(0.01)
+
+
+class TestRetention:
+    def test_evicted_study_is_404_and_recomputes_identically(self):
+        # A one-byte budget keeps only the newest finished result.
+        handle = ServerHandle(
+            ServeConfig(chunk_rows=8, retain_bytes=1)
+        ).start()
+        try:
+            with ServeClient(port=handle.port) as c:
+                first_spec = _spec(16, start=0.15)
+                first = c.submit(first_spec.to_dict())
+                first_text = c.wait_result(first["study_id"], timeout_s=60)
+                second = c.submit(_spec(16, start=0.16).to_dict())
+                second_text = c.wait_result(
+                    second["study_id"], timeout_s=60
+                )
+                with pytest.raises(
+                    UnknownStudyError, match="unknown or expired"
+                ):
+                    c.status(first["study_id"])
+                assert c.status(second["study_id"])["state"] == "done"
+                stats = _stats_once_executed(c, 2)
+                assert stats["counters"]["serve.studies.evicted"] == 1
+                assert stats["gauges"]["serve.registry.bytes"] == len(
+                    second_text.encode("utf-8")
+                )
+                again = c.submit(first_spec.to_dict())
+                assert again["study_id"] == first["study_id"]
+                assert again["coalesced"] is False  # computed again
+                again_text = c.wait_result(again["study_id"], timeout_s=60)
+                _stats_once_executed(c, 3)
+            assert _without_telemetry(again_text) == _without_telemetry(
+                first_text
+            )
+        finally:
+            handle.stop()
+
+    def _finish(self, store: StudyStore, spec: StudySpec, size: int):
+        record, created = store.register(spec)
+        assert created
+        return record, store.finish(record, b"x" * size)
+
+    def test_retained_bytes_stay_within_the_budget(self):
+        store = StudyStore(retain_bytes=1000)
+        pending, _ = store.register(_spec(4, start=0.9))
+        pending.mark_running()
+        finished = []
+        for i in range(12):
+            record, (evicted, retained) = self._finish(
+                store, _spec(4, start=0.01 * (i + 1)), 300
+            )
+            finished.append(record)
+            assert retained == store.retained_bytes <= 1000
+            assert store.get(record.study_id) is record  # newest kept
+        assert store.get(pending.study_id) is pending  # never evicted
+        kept = [r for r in finished if r in store.records()]
+        assert kept == finished[-3:]
+        for record in finished[:-3]:
+            with pytest.raises(UnknownStudyError, match="expired"):
+                store.get(record.study_id)
+
+    def test_newest_result_is_kept_even_over_budget(self):
+        store = StudyStore(retain_bytes=100)
+        old, _ = self._finish(store, _spec(4, start=0.21), 50)
+        new, (evicted, retained) = self._finish(
+            store, _spec(4, start=0.22), 500
+        )
+        assert (evicted, retained) == (1, 500)
+        assert store.get(new.study_id) is new
+        with pytest.raises(UnknownStudyError):
+            store.get(old.study_id)
+
+    def test_reads_refresh_recency(self):
+        store = StudyStore(retain_bytes=1000)
+        a, _ = self._finish(store, _spec(4, start=0.31), 400)
+        b, _ = self._finish(store, _spec(4, start=0.32), 400)
+        store.get(a.study_id)  # a is now more recent than b
+        self._finish(store, _spec(4, start=0.33), 400)
+        assert store.get(a.study_id) is a
+        with pytest.raises(UnknownStudyError):
+            store.get(b.study_id)
+
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ConfigurationError, match="retain_bytes"):
+            StudyStore(retain_bytes=0)
+
+
 # ---------------------------------------------------------------------
 # CLI flag validation + the CI smoke path
 # ---------------------------------------------------------------------
@@ -506,6 +667,10 @@ class TestServeCliFlags:
     def test_bad_max_queue_names_the_flag(self, capsys):
         assert self._run("--max-queue", "0") == 2
         assert "--max-queue" in capsys.readouterr().err
+
+    def test_bad_retain_mb_names_the_flag(self, capsys):
+        assert self._run("--retain-mb", "0") == 2
+        assert "--retain-mb" in capsys.readouterr().err
 
     def test_bad_max_concurrent_names_the_flag(self, capsys):
         assert self._run("--max-concurrent", "-3") == 2

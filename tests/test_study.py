@@ -549,6 +549,35 @@ class TestResultRoundTrip:
         study.save(result_path)
         assert StudyResult.load(result_path).equals(study)
 
+    def test_compact_json_is_byte_identical_to_one_dumps(self, tmp_path):
+        from repro.obs import Tracer
+
+        spec = knob_spec(compute_runtime_s=[0.01, 0.1, 0.5])
+        plain = run_study(spec)
+        traced = run_study(spec, tracer=Tracer())
+        assert traced.telemetry is not None
+        special = np.array([np.nan, np.inf, -np.inf])
+        non_finite = replace(
+            plain,
+            batch=replace(plain.batch, safe_velocity=special,
+                          knee_hz=-special),
+            total_mass_g=special,
+            compute_tdp_w=special[::-1].copy(),
+        )
+        empty_selection = replace(
+            plain, selected_indices=np.array([], dtype=np.intp)
+        )
+        for study in (plain, traced, non_finite, empty_selection):
+            assert study.to_json() == json.dumps(study.to_dict())
+            path = tmp_path / "result.json"
+            study.save(path)
+            assert path.read_text() == (
+                json.dumps(study.to_dict(), indent=2) + "\n"
+            )
+        assert "NaN" in non_finite.to_json()
+        assert "-Infinity" in non_finite.to_json()
+        assert '"selected_indices": []' in empty_selection.to_json()
+
     def test_skyline_study_entry_point(self):
         spec = knob_spec(compute_tdp_w=[1.0, 30.0])
         study = Skyline.study(spec)
