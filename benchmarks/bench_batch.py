@@ -16,7 +16,10 @@ the required margin at 10k and above.  A third comparison — **study**
 :mod:`repro.study` layer (spec construction + planner compile +
 dispatch) and asserts the abstraction costs < 5% over the raw
 ``KnobMatrix`` + ``evaluate_matrix`` path at 100k points, so the
-spec-first API can never quietly become a tax.  Set
+spec-first API can never quietly become a tax.  A fourth —
+**study-ranked** — times a ``top_k=10`` study that keys a cache
+against ``evaluate_matrix`` on the same compiled plan, so neither a
+full sort nor a slow cache key can come back unnoticed.  Set
 ``REPRO_RECORD_BENCH=1`` to append the measured numbers to
 ``benchmarks/results/bench_batch.json`` so the bench trajectory keeps
 populating across machines and revisions.  Set ``REPRO_BENCH_SMOKE=1``
@@ -56,6 +59,17 @@ MIN_ASSEMBLY_SPEEDUP = 10.0
 #: Allowed relative overhead of the declarative study layer (spec
 #: compile + dispatch) over the raw assembly + evaluation it plans.
 MAX_STUDY_OVERHEAD = 0.05
+
+#: Rows a ranked study keeps, and the allowed overhead of that study
+#: (cache key + top-k selection) over the evaluation it ranks.  At 100k
+#: points on 2 vCPUs with SHA extensions the study measured ~1.4; a
+#: full sort of all rows, or a blake2b digest of copied columns, each
+#: measured 1.9-3.7.
+RANKED_TOP_K = 10
+MAX_RANKED_STUDY_OVERHEAD = 1.75
+
+#: Timed runs per side (best of): a 1k-point smoke run is ~0.1 ms.
+RANKED_REPEATS = 10
 
 
 def _grid(n_points: int) -> DesignMatrix:
@@ -261,6 +275,69 @@ def test_bench_study_overhead():
     if SMOKE:
         return
     assert overhead < MAX_STUDY_OVERHEAD, row
+
+
+def _ranked_plans(n_points: int, count: int) -> list:
+    """``count`` compiled plans of one ``top_k`` study.
+
+    Each plan holds its own matrix object: a matrix digests its
+    content once, so reusing one would time the cache key only once.
+    """
+    from repro.study import DesignSpec, RankClause, StudySpec, compile_spec
+
+    spec = StudySpec(
+        design=DesignSpec.knob_axes(axes=_study_axes(n_points)),
+        rank=RankClause(by="safe_velocity", top_k=RANKED_TOP_K),
+    )
+    return [compile_spec(spec) for _ in range(count)]
+
+
+def test_bench_ranked_study_overhead():
+    """A ranked study costs little more than the evaluation it ranks.
+
+    Both sides start from a compiled plan.  The study adds the cache
+    key (a digest of every column; each run misses a fresh cache, as
+    distinct grids do) and the top-k selection to ``evaluate_matrix``.
+    A full sort of all rows or a copying digest would each push it past
+    the margin.
+    """
+    from repro.batch import BatchCache
+    from repro.study import run_study
+
+    n_points = (1_000 if GATE else 64) if SMOKE else 100_000
+    plans = _ranked_plans(n_points, RANKED_REPEATS + 1)
+    spec = plans[0].spec
+    raw_s = _best_of(
+        lambda: evaluate_matrix(
+            plans[0].matrix,
+            knee_fraction=spec.knee_fraction,
+            tolerance=spec.tolerance,
+            cache=None,
+        ),
+        repeats=RANKED_REPEATS,
+    )
+    run_study(plans[0], cache=BatchCache())  # warm-up
+    ranked_s = float("inf")
+    for plan in plans[1:]:
+        start = time.perf_counter()
+        run_study(plan, cache=BatchCache())
+        ranked_s = min(ranked_s, time.perf_counter() - start)
+    overhead = ranked_s / raw_s - 1.0
+    row = {
+        "points": len(plans[0]),
+        "raw_s": round(raw_s, 6),
+        "study_s": round(ranked_s, 6),
+        "overhead": round(overhead, 4),
+    }
+    print(
+        f"[study-ranked] {row['points']:>7} points: evaluate "
+        f"{raw_s:.4f}s, top-{RANKED_TOP_K} study {ranked_s:.4f}s "
+        f"({overhead:+.1%} overhead)"
+    )
+    _record("study-ranked", [row])
+    if SMOKE:
+        return
+    assert overhead < MAX_RANKED_STUDY_OVERHEAD, row
 
 
 def test_bench_sweep_grid_end_to_end():

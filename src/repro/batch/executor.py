@@ -178,7 +178,9 @@ def _matrix_digest(
     digest = hashlib.blake2b(digest_size=16)
     digest.update(len(matrix).to_bytes(8, "little"))
     for column in matrix.columns():
-        digest.update(column.tobytes())
+        # Same bytes as ``column.tobytes()`` (columns are owned
+        # C-contiguous copies), without the copy.
+        digest.update(memoryview(column).cast("B"))
     if matrix.labels is not None:
         for label in matrix.labels:
             digest.update(label.encode("utf-8"))

@@ -255,10 +255,11 @@ class DesignMatrix:
 
     @cached_property
     def _content_hash(self) -> str:
-        digest = hashlib.blake2b(digest_size=16)
+        digest = hashlib.sha256()
         digest.update(len(self).to_bytes(8, "little"))
         for column in self.columns():
-            digest.update(column.tobytes())
+            # Columns are owned C-contiguous copies: hash them in place.
+            digest.update(memoryview(column).cast("B"))
         if self.labels is not None:
             # The label component uses the C-level tuple hash: byte-wise
             # digesting 100k label strings costs ~5x a full re-evaluation,
@@ -269,12 +270,15 @@ class DesignMatrix:
         return digest.hexdigest()
 
     def content_hash(self) -> str:
-        """A digest of the full matrix content, keying the result cache.
+        """A SHA-256 digest of the full matrix content, keying the result cache.
 
-        Computed once per (immutable) matrix.  Stable within a process;
-        for labelled matrices it is *not* stable across processes (the
-        label component uses Python's seeded string hashing), which the
-        in-process :class:`~repro.batch.cache.BatchCache` never needs.
+        Computed once per (immutable) matrix.  In-process only: the
+        label component uses Python's seeded string hashing, and nothing
+        writes this digest to disk or the wire (checkpoint manifests use
+        the separate, restart-stable digest of
+        :mod:`repro.batch.executor`).  It stays cryptographic because
+        serve builds matrices from user-supplied specs: a collision
+        would hand one request another grid's cached result.
         """
         return self._content_hash
 

@@ -33,6 +33,33 @@ SORTABLE_COLUMNS = (
 )
 
 
+def stable_top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``keys``, in stable sort order.
+
+    Always equal to ``np.argsort(keys, kind="stable")[:k]``: ties keep
+    their original relative order and NaN keys sort last.  The one
+    top-k of the package (ranked studies, ``BatchResult.top_k`` and the
+    shard merge all call it); it costs an O(n) partition plus an
+    O(k log k) sort of the shortlist instead of a full O(n log n) sort.
+    """
+    if k < 1:
+        raise ConfigurationError(f"k must be >= 1, got {k}")
+    if k < keys.size:
+        boundary = np.partition(keys, k - 1)[k - 1]
+        # A NaN boundary compares unequal to everything, so the
+        # shortlist below would come up short: fall back to the sort.
+        if not np.isnan(boundary):
+            # argpartition alone would pick an *arbitrary* subset of
+            # the rows tied at the boundary; resolve membership the way
+            # the stable sort does: strictly-better rows, then boundary
+            # ties in original order.
+            definite = np.flatnonzero(keys < boundary)
+            tied = np.flatnonzero(keys == boundary)
+            shortlist = np.concatenate([definite, tied[: k - definite.size]])
+            return shortlist[np.argsort(keys[shortlist], kind="stable")]
+    return np.argsort(keys, kind="stable")[:k]
+
+
 @dataclass(frozen=True)
 class BatchRow:
     """One design point materialized back into Python scalars."""
@@ -230,32 +257,15 @@ class BatchResult:
     ) -> np.ndarray:
         """Row indices of the ``k`` best rows by one column, best first.
 
-        Uses an O(n) partition before the O(k log k) sort, so taking a
-        handful of winners from a million-point grid stays cheap.  The
-        indices are what shard merges need: offset by a shard's global
-        start row, they stay meaningful after
-        :func:`merge_top_k` combines shards.
+        Uses :func:`stable_top_k`: an O(n) partition before the
+        O(k log k) sort, so taking a handful of winners from a
+        million-point grid stays cheap, and ``top_k(k)`` equals
+        ``sort_by()[:k]`` row for row.  The indices are what shard
+        merges need: offset by a shard's global start row, they stay
+        meaningful after :func:`merge_top_k` combines shards.
         """
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        n = len(self)
-        k = min(k, n)
         keys = -self._column(by) if descending else self._column(by)
-        if k < n:
-            # argpartition alone would pick an *arbitrary* subset of the
-            # rows tied at the k boundary; resolve membership the way the
-            # stable full sort does — strictly-better rows, then boundary
-            # ties in original order — so top_k(k) == sort_by()[:k].
-            boundary = np.partition(keys, k - 1)[k - 1]
-            definite = np.flatnonzero(keys < boundary)
-            tied = np.flatnonzero(keys == boundary)
-            shortlist = np.concatenate(
-                [definite, tied[: k - definite.size]]
-            )
-        else:
-            shortlist = np.arange(n)
-        order = np.argsort(keys[shortlist], kind="stable")
-        return shortlist[order]
+        return stable_top_k(keys, k)
 
     def top_k(
         self, k: int, by: str = "safe_velocity", descending: bool = True
@@ -396,8 +406,6 @@ def merge_top_k(
     the stable full sort.  The merge is associative, so a streaming
     reduce may fold shards in as they complete, keeping ``O(k)`` state.
     """
-    if k < 1:
-        raise ConfigurationError(f"k must be >= 1, got {k}")
     parts = list(candidates)
     if not parts:
         raise ConfigurationError("merge needs at least one candidate set")
@@ -412,7 +420,8 @@ def merge_top_k(
     keys = merged._column(by)
     if descending:
         keys = -keys
-    # Primary key: the ranked column; secondary: global row index, so
-    # boundary ties resolve exactly as the stable full-grid sort does.
-    order = np.lexsort((indices, keys))[: min(k, len(merged))]
+    # Visit the candidates in global row order, so the stable top-k
+    # resolves boundary ties exactly as the full-grid sort does.
+    by_row = np.argsort(indices, kind="stable")
+    order = by_row[stable_top_k(keys[by_row], k)]
     return indices[order], merged.take(order)

@@ -29,7 +29,7 @@ import numpy as np
 
 from ..batch.cache import BatchCache
 from ..batch.engine import DEFAULT_CACHE, evaluate_matrix
-from ..batch.result import BatchResult
+from ..batch.result import BatchResult, stable_top_k
 from ..io.serialization import BOUND_NAME_TO_CODE, STATUS_NAME_TO_CODE
 from ..obs.tracer import maybe_span
 from .planner import StudyPlan, compile_spec, study_axes
@@ -109,9 +109,11 @@ def _select(
             keys = -keys
         # Stable, like BatchResult.argsort: tied rows keep their
         # original (enumeration) order in both directions.
-        indices = indices[np.argsort(keys, kind="stable")]
-        if spec.rank.top_k is not None:
-            indices = indices[: spec.rank.top_k]
+        if spec.rank.top_k is None:
+            order = np.argsort(keys, kind="stable")
+        else:
+            order = stable_top_k(keys, spec.rank.top_k)
+        indices = indices[order]
     return indices
 
 

@@ -3,6 +3,8 @@ result, cache, scenario grids — and scalar/batch equivalence."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from repro.batch import (
     scenario_grid,
 )
 from repro.batch.grid import grid_shape
+from repro.batch.result import stable_top_k
 from repro.core.bounds import BoundKind
 from repro.core.model import F1Model
 from repro.dse.explorer import evaluate as scalar_evaluate
@@ -219,6 +222,60 @@ class TestDesignMatrix:
         assert a.content_hash() != c.content_hash()
         assert a.content_hash() != d.content_hash()
 
+    def test_content_hash_ignores_input_layout(self):
+        values = np.array([10.0, 20.0, 30.0])
+        strided = np.array([10.0, -1.0, 20.0, -1.0, 30.0])[::2]
+        reference = DesignMatrix.from_arrays(
+            values, np.full(3, 50.0), 60.0, values * 2.0
+        )
+        for matrix in (
+            DesignMatrix.from_arrays(
+                strided, 50.0, 60.0, strided * 2.0
+            ),
+            DesignMatrix.from_arrays(
+                [10.0, 20.0, 30.0],
+                np.broadcast_to(50.0, (3,)),
+                [60.0],
+                (20.0, 40.0, 60.0),
+            ),
+        ):
+            assert matrix.content_hash() == reference.content_hash()
+
+    @pytest.mark.parametrize(
+        "column",
+        ("sensing_range_m", "a_max", "f_sensor_hz", "f_compute_hz",
+         "f_control_hz"),
+    )
+    def test_content_hash_sees_one_ulp(self, column):
+        columns = {
+            "sensing_range_m": np.array([10.0, 20.0]),
+            "a_max": np.array([50.0, 40.0]),
+            "f_sensor_hz": np.array([60.0, 30.0]),
+            "f_compute_hz": np.array([100.0, 7.0]),
+            "f_control_hz": np.array([1000.0, 500.0]),
+        }
+        base = DesignMatrix.from_arrays(**columns)
+        nudged = dict(columns)
+        nudged[column] = columns[column].copy()
+        nudged[column][1] = np.nextafter(nudged[column][1], np.inf)
+        assert (
+            DesignMatrix.from_arrays(**nudged).content_hash()
+            != base.content_hash()
+        )
+
+    def test_content_hash_labels(self):
+        def build(labels):
+            return DesignMatrix.from_arrays(
+                10.0, (1.0, 2.0), 60.0, 100.0, labels=labels
+            )
+
+        assert build(["a", "b"]).content_hash() == build(
+            ("a", "b")
+        ).content_hash()
+        assert build(("a", "b")).content_hash() != build(
+            ("a", "c")
+        ).content_hash()
+
     def test_model_at_round_trips(self):
         matrix = DesignMatrix.from_arrays(3.0, 9.81, 60.0, 1.1)
         model = matrix.model_at(0)
@@ -286,6 +343,17 @@ class TestBatchResult:
             full = result.sort_by()
             assert top.matrix.labels == full.matrix.labels[:k]
 
+    def test_top_k_with_nan_boundary_matches_full_sort(self, result):
+        keys = np.array([3.0, np.nan, 1.0, np.nan, 2.0])
+        assert stable_top_k(keys, 4).tolist() == [2, 4, 0, 1]
+        # NaN columns survive a StudyResult JSON round trip.
+        velocities = np.array([np.nan, 2.0, np.nan, 1.0])
+        with_nan = replace(result, safe_velocity=velocities)
+        for k in range(1, 5):
+            np.testing.assert_array_equal(
+                with_nan.top_k_indices(k), with_nan.argsort()[:k]
+            )
+
     def test_top_k_clamps_and_validates(self, result):
         assert len(result.top_k(100)) == len(result)
         with pytest.raises(ConfigurationError):
@@ -325,6 +393,35 @@ class TestBatchResult:
     def test_describe_summarizes(self, result):
         text = result.describe()
         assert f"{len(result)} designs" in text
+
+
+#: Few distinct values, so ties are common, and every special float;
+#: NaN is drawn about half the time so it often lands on the boundary.
+_top_k_key = st.one_of(
+    st.just(np.nan),
+    st.sampled_from((-np.inf, -1.5, -0.0, 0.0, 1.0, 2.5, 2.5 + 1e-12, np.inf)),
+)
+
+
+class TestStableTopK:
+    @given(
+        keys=st.lists(_top_k_key, min_size=1, max_size=60),
+        descending=st.booleans(),
+        mask_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_stable_full_sort(self, keys, descending, mask_seed, data):
+        keys = np.asarray(keys)
+        if mask_seed is not None:
+            mask = np.random.default_rng(mask_seed).random(keys.size) < 0.6
+            keys = keys[mask]
+        if descending:
+            keys = -keys
+        k = data.draw(st.integers(1, keys.size + 2), label="k")
+        np.testing.assert_array_equal(
+            stable_top_k(keys, k), np.argsort(keys, kind="stable")[:k]
+        )
 
 
 class TestBatchCache:

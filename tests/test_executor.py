@@ -11,6 +11,7 @@ spawn on CI — while the property suites run on the serial backend.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -39,7 +40,12 @@ from repro.batch import (
     shard_ranges,
     top_k_sharded,
 )
-from repro.batch.executor import DEFAULT_CHUNK_ROWS, _evaluate_shard, _init_worker
+from repro.batch.executor import (
+    DEFAULT_CHUNK_ROWS,
+    _evaluate_shard,
+    _init_worker,
+    _matrix_digest,
+)
 from repro.errors import ConfigurationError
 from repro.io.serialization import (
     batch_results_equal,
@@ -411,6 +417,34 @@ class TestShardedStudies:
 # Checkpoints and resume
 # ---------------------------------------------------------------------------
 class TestCheckpoints:
+    def test_matrix_digest_keeps_the_manifest_byte_stream(self):
+        # Manifests written before the digest hashed column views must
+        # still match, or their checkpoints would stop resuming.
+        def tobytes_digest(matrix, knee_fraction, tolerance):
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(len(matrix).to_bytes(8, "little"))
+            for column in matrix.columns():
+                digest.update(column.tobytes())
+            if matrix.labels is not None:
+                for label in matrix.labels:
+                    digest.update(label.encode("utf-8"))
+                    digest.update(b"\x00")
+            digest.update(repr((knee_fraction, tolerance)).encode("ascii"))
+            return digest.hexdigest()
+
+        grid = _grid(40)
+        for matrix in (
+            grid,
+            grid.take(np.arange(39, -1, -3)),
+            grid.take([]),
+            DesignMatrix.from_arrays(
+                10.0, (1.0, 2.0), 60.0, 100.0, labels=("a", "\u00e9")
+            ),
+        ):
+            assert _matrix_digest(matrix, 0.5, 0.05) == tobytes_digest(
+                matrix, 0.5, 0.05
+            )
+
     def test_checkpoint_writes_manifest_and_shards(self, tmp_path):
         spec = _knob_spec()
         run_study(spec, cache=None, chunk_rows=5, checkpoint=tmp_path)

@@ -465,6 +465,62 @@ class TestFiltersAndRank:
             study.selected.safe_velocity, expected.safe_velocity
         )
 
+    @given(
+        keys=st.lists(
+            st.one_of(
+                st.just(np.nan),
+                st.sampled_from((-np.inf, -1.0, 0.0, 2.0, 2.0 + 1e-12, np.inf)),
+            ),
+            min_size=25,
+            max_size=25,
+        ),
+        top_k=st.one_of(st.none(), st.integers(1, 30)),
+        descending=st.booleans(),
+        threshold=st.one_of(st.none(), st.sampled_from((-1.0, 0.0, 2.0))),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rank_equals_stable_full_sort(
+        self, keys, top_k, descending, threshold
+    ):
+        # Ties, NaN (which survives a JSON round trip) and +-inf in the
+        # ranked column; "!=" keeps the NaN rows while filtering.
+        from repro.study.runner import _select
+
+        spec = knob_spec(
+            compute_tdp_w=np.linspace(1.0, 30.0, 5),
+            compute_runtime_s=np.geomspace(0.002, 0.5, 5),
+        )
+        plan = compile_spec(spec)
+        study = run_study(plan)
+        keys = np.asarray(keys)
+        batch = replace(study.batch, safe_velocity=keys)
+        filters = (
+            () if threshold is None
+            else (FilterClause("safe_velocity", "!=", threshold),)
+        )
+        ranked = StudySpec(
+            design=spec.design,
+            filters=filters,
+            rank=RankClause(
+                by="safe_velocity", descending=descending, top_k=top_k
+            ),
+        )
+        extras = {
+            "total_mass_g": plan.total_mass_g,
+            "compute_tdp_w": plan.compute_tdp_w,
+        }
+        kept = (
+            np.arange(keys.size) if threshold is None
+            else np.flatnonzero(keys != threshold)
+        )
+        order = np.argsort(
+            -keys[kept] if descending else keys[kept], kind="stable"
+        )
+        expected = kept[order][:top_k]
+        np.testing.assert_array_equal(
+            _select(ranked, batch, extras), expected
+        )
+
     def test_metrics_clause_controls_reporting(self, spec):
         study = run_study(
             StudySpec(
