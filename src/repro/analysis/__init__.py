@@ -29,16 +29,12 @@ in :data:`repro.analysis.core.REGISTRY`, suppressible per line with
 ``# reprolint: disable=RPL00x`` comments, and exercised by fixture
 files under ``tests/data/reprolint_fixtures/``.  The ``reprolint``
 console script (see :mod:`repro.analysis.cli`) runs the suite over a
-tree — incrementally, via a content-hash cache with graph-aware
-invalidation (:mod:`repro.analysis.cache`) — and is wired into CI next
-to ruff, with a committed baseline (:mod:`repro.analysis.baseline`)
-and SARIF export (:mod:`repro.analysis.sarif`).
+tree and is wired into CI next to ruff.
 """
 
 from __future__ import annotations
 
 from .core import (
-    AnalysisStats,
     Analyzer,
     AnalyzerConfig,
     Finding,
@@ -49,13 +45,10 @@ from .core import (
     all_rules,
 )
 from .graph import ModuleSummary, ProjectGraph, extract_summary
-from .cache import AnalysisCache
 from . import rules as _rules  # noqa: F401  (imports register the rules)
 from . import rules_interproc as _rules_interproc  # noqa: F401  (ditto)
 
 __all__ = [
-    "AnalysisCache",
-    "AnalysisStats",
     "Analyzer",
     "AnalyzerConfig",
     "Finding",

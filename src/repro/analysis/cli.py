@@ -7,17 +7,9 @@ Usage::
     reprolint --select RPL001,RPL004  # run a subset of rules
     reprolint --list-rules            # the catalog, one rule per block
     reprolint --update-wire-snapshot  # regenerate the RPL003 snapshot
-    reprolint --baseline FILE PATHS   # ratchet: fail only on NEW findings
-    reprolint --update-baseline       # accept the current findings
-    reprolint --sarif out.sarif PATHS # also write a SARIF 2.1.0 report
-    reprolint --no-cache PATHS        # force a cold run
-    reprolint --stats PATHS           # print analyzed/cached counts
 
-The incremental cache is on by default (``.reprolint_cache.json`` at
-the repo root, gitignored): a file re-analyzes only when its content —
-or the content of anything it imports — changed.  Exit status: 0 when
-clean (or all findings baselined), 1 when any new finding is reported,
-2 on usage errors (argparse) or unreadable inputs.
+Exit status: 0 when clean, 1 when any finding is reported, 2 on usage
+errors (argparse) or unreadable inputs.
 """
 
 from __future__ import annotations
@@ -29,16 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
-from .core import (
-    REGISTRY,
-    Analyzer,
-    AnalyzerConfig,
-    Finding,
-    report_to_dict,
-)
-from . import baseline as baselinelib
-from . import cache as cachelib
-from . import sarif as sariflib
+from .core import REGISTRY, Analyzer, AnalyzerConfig, report_to_dict
 from . import wire
 
 
@@ -99,45 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "regenerate the wire-fingerprint snapshot from the live "
             "serialization module and exit"
         ),
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "apply a committed baseline: known findings are accepted, "
-            "only new ones fail the run "
-            f"(default path: {baselinelib.DEFAULT_BASELINE_NAME} at the "
-            f"repo root when --update-baseline is used)"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--sarif",
-        metavar="PATH",
-        help="also write a SARIF 2.1.0 report to PATH",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental analysis cache (force a cold run)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        help=(
-            "incremental cache location (default: "
-            f"{cachelib.DEFAULT_CACHE_NAME} at the repo root; the cache "
-            "is skipped when no repo root is found)"
-        ),
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print analyzed/cached file counts to stderr",
     )
     parser.add_argument(
         "--docs",
@@ -216,23 +160,6 @@ def _default_doc_files(root: Optional[Path]) -> Tuple[str, ...]:
     return tuple(docs)
 
 
-def _open_cache(
-    args: argparse.Namespace, config: AnalyzerConfig
-) -> Optional[cachelib.AnalysisCache]:
-    if args.no_cache:
-        return None
-    if args.cache is not None:
-        cache_path = Path(args.cache)
-    else:
-        default = cachelib.default_cache_path()
-        if default is None:
-            return None  # outside a repo: nowhere sensible to put it
-        cache_path = default
-    return cachelib.AnalysisCache(
-        cache_path, cachelib.compute_config_key(config)
-    )
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -265,77 +192,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         exclude=tuple(args.exclude),
         doc_files=doc_files,
     )
-    baseline_root = root if root is not None else Path.cwd()
     try:
         analyzer = Analyzer(config)
-        analysis_cache = _open_cache(args, config)
-        findings = analyzer.check_paths(paths, cache=analysis_cache)
+        files = analyzer.collect_files(paths)
+        findings = analyzer.check_paths(files)
     except ReproError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        baseline_path = (
-            Path(args.baseline)
-            if args.baseline
-            else baseline_root / baselinelib.DEFAULT_BASELINE_NAME
-        )
-        baselinelib.write_baseline(baseline_path, findings, baseline_root)
-        print(
-            f"reprolint: wrote baseline accepting {len(findings)} "
-            f"finding(s) to {baseline_path}"
-        )
-        return 0
-
-    baselined: List[Finding] = []
-    if args.baseline:
-        try:
-            entries = baselinelib.load_baseline(Path(args.baseline))
-        except ReproError as exc:
-            print(f"reprolint: {exc}", file=sys.stderr)
-            return 2
-        findings, baselined, stale = baselinelib.apply_baseline(
-            findings, entries, baseline_root
-        )
-        for warning in stale:
-            print(f"reprolint: warning: {warning}", file=sys.stderr)
-
-    if args.sarif:
-        sariflib.write_sarif(
-            Path(args.sarif), findings, baseline_root, baselined
-        )
-
-    stats = analyzer.last_stats
-    files_checked = stats.files_checked if stats is not None else 0
-    if args.stats and stats is not None:
-        print(
-            f"reprolint: {stats.analyzed} file(s) analyzed, "
-            f"{stats.cached} from cache",
-            file=sys.stderr,
-        )
-
     if args.json:
-        report = report_to_dict(findings, files_checked)
-        if args.baseline:
-            report["baseline"] = {
-                "path": args.baseline,
-                "suppressed": len(baselined),
-            }
-        if stats is not None:
-            report["stats"] = stats.to_dict()
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report_to_dict(findings, len(files)), indent=2))
     else:
         for finding in findings:
             print(finding.format())
-        suppressed_note = (
-            f", {len(baselined)} baselined" if baselined else ""
-        )
         summary = (
-            f"reprolint: {len(findings)} finding(s) in "
-            f"{files_checked} file(s){suppressed_note}"
+            f"reprolint: {len(findings)} finding(s) in {len(files)} file(s)"
             if findings
-            else f"reprolint: clean ({files_checked} file(s), "
-            f"{len(analyzer.rules)} rule(s){suppressed_note})"
+            else f"reprolint: clean ({len(files)} file(s), "
+            f"{len(analyzer.rules)} rule(s))"
         )
         print(summary, file=sys.stderr if findings else sys.stdout)
     return 1 if findings else 0

@@ -21,7 +21,6 @@ never imported, so ``reprolint`` can run on broken or partial trees.
 from __future__ import annotations
 
 import ast
-import hashlib
 import io
 import re
 import tokenize
@@ -253,9 +252,7 @@ class ProjectRule(Rule):
     Project rules run once per analysis over the
     :class:`repro.analysis.graph.ProjectGraph` built from every
     analyzed module, instead of once per file.  They operate on module
-    *summaries* (plain data), which is what makes the incremental cache
-    able to skip re-parsing unchanged files while still giving these
-    rules a complete graph.
+    *summaries* (plain data), not on parsed trees.
     """
 
     scope = "project"
@@ -301,31 +298,13 @@ def all_rules() -> Tuple[Type[Rule], ...]:
     return tuple(REGISTRY[rule_id] for rule_id in sorted(REGISTRY))
 
 
-@dataclass(frozen=True)
-class AnalysisStats:
-    """How much work one :meth:`Analyzer.check_paths` run actually did."""
-
-    files_checked: int  #: files covered by the run (analyzed + cached)
-    analyzed: int  #: files parsed and run through the module rules
-    cached: int  #: files whose findings/summary came from the cache
-
-    def to_dict(self) -> Dict[str, int]:
-        return {
-            "files_checked": self.files_checked,
-            "analyzed": self.analyzed,
-            "cached": self.cached,
-        }
-
-
 class Analyzer:
     """Runs the registered rules over files, trees or source strings.
 
     Module-scope rules run once per file; project-scope rules
     (:class:`ProjectRule`) run once per analysis over the
     :class:`~repro.analysis.graph.ProjectGraph` built from every
-    analyzed module's summary.  :meth:`check_paths` optionally consults
-    an :class:`~repro.analysis.cache.AnalysisCache`, re-analyzing only
-    files whose content (or whose imports' content) changed.
+    analyzed module's summary.
     """
 
     def __init__(self, config: Optional[AnalyzerConfig] = None) -> None:
@@ -350,8 +329,6 @@ class Analyzer:
         self.project_rules: Tuple[Rule, ...] = tuple(
             active for active in self.rules if active.scope == "project"
         )
-        #: Work accounting of the most recent :meth:`check_paths` run.
-        self.last_stats: Optional[AnalysisStats] = None
 
     # -- entry points ---------------------------------------------------
     def check_source(
@@ -369,9 +346,7 @@ class Analyzer:
         findings = self._run_module_rules(module)
         if self.project_rules:
             summary = graphlib.extract_summary(
-                module,
-                graphlib.module_name_for(module.path),
-                _sha256_text(source),
+                module, graphlib.module_name_for(module.path)
             )
             findings.extend(self._project_findings([summary]))
         return sorted(findings)
@@ -391,57 +366,24 @@ class Analyzer:
         except SyntaxError as exc:
             return [_syntax_error_finding(path, exc)]
 
-    def check_paths(
-        self,
-        paths: Iterable["Path | str"],
-        cache: Optional[Any] = None,
-    ) -> List[Finding]:
+    def check_paths(self, paths: Iterable["Path | str"]) -> List[Finding]:
         """Analyze files and (recursively) directories of ``*.py``.
 
-        With a ``cache`` (an :class:`~repro.analysis.cache.AnalysisCache`),
-        files whose content hash — and every imported module's content
-        hash — is unchanged reuse their cached module-rule findings and
-        summary; the project rules always run, over the full summary
-        graph, so interprocedural findings never go stale.
+        Module rules run per file; the project rules run once, over the
+        summary graph of every file that parsed.
         """
-        from . import graph as graphlib
-
-        files = self._collect_files(paths)
-        digests = {file: _sha256_path(file) for file in files}
-        reusable = (
-            cache.plan(files, digests, self.config)
-            if cache is not None
-            else set()
-        )
         findings: List[Finding] = []
         summaries: List[Any] = []
-        analyzed = 0
-        for file in files:
-            if file in reusable and cache is not None:
-                cached_findings, summary = cache.load_entry(file)
-                findings.extend(cached_findings)
-            else:
-                file_findings, summary = self._analyze_file(
-                    file, digests[file]
-                )
-                analyzed += 1
-                findings.extend(file_findings)
-                if cache is not None:
-                    cache.store(file, digests[file], file_findings, summary)
+        for file in self.collect_files(paths):
+            file_findings, summary = self._analyze_file(file)
+            findings.extend(file_findings)
             if summary is not None:
                 summaries.append(summary)
         findings.extend(self._project_findings(summaries))
-        if cache is not None:
-            cache.save()
-        self.last_stats = AnalysisStats(
-            files_checked=len(files),
-            analyzed=analyzed,
-            cached=len(files) - analyzed,
-        )
         return sorted(findings)
 
-    # -- internals ------------------------------------------------------
-    def _collect_files(self, paths: Iterable["Path | str"]) -> List[Path]:
+    def collect_files(self, paths: Iterable["Path | str"]) -> List[Path]:
+        """The ``*.py`` files ``paths`` name, minus ``config.exclude``."""
         files: List[Path] = []
         for entry in paths:
             entry = Path(entry)
@@ -464,8 +406,9 @@ class Analyzer:
             ]
         return files
 
+    # -- internals ------------------------------------------------------
     def _analyze_file(
-        self, path: Path, sha256: str
+        self, path: Path
     ) -> Tuple[List[Finding], Optional[Any]]:
         """Module-rule findings and the summary of one file.
 
@@ -487,7 +430,7 @@ class Analyzer:
         except SyntaxError as exc:
             return [_syntax_error_finding(path, exc)], None
         summary = graphlib.extract_summary(
-            module, graphlib.module_name_for(path), sha256
+            module, graphlib.module_name_for(path)
         )
         return self._run_module_rules(module), summary
 
@@ -507,17 +450,6 @@ class Analyzer:
         for active in self.project_rules:
             findings.extend(active.check_project(graph))  # type: ignore[attr-defined]
         return findings
-
-
-def _sha256_text(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def _sha256_path(path: Path) -> str:
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return ""
 
 
 def _syntax_error_finding(path: Path, exc: SyntaxError) -> Finding:
@@ -557,13 +489,3 @@ def report_to_dict(
         },
     }
 
-
-def iter_python_files(paths: Iterable["Path | str"]) -> Iterator[Path]:
-    """Every ``*.py`` file the given paths name (dirs recurse)."""
-    for entry in paths:
-        entry = Path(entry)
-        if entry.is_dir():
-            for file in sorted(entry.rglob("*.py")):
-                yield file
-        elif entry.exists():
-            yield entry

@@ -4,10 +4,7 @@
 file: the module's imports, top-level symbols, function signatures,
 call sites, references to module-level state, mutations of that state,
 worker-pool entry points and the suppression table.  Summaries are
-plain data — JSON-round-trippable so the incremental cache
-(:mod:`repro.analysis.cache`) can persist them and rebuild the graph
-without re-parsing unchanged files — and the analyzed code is never
-imported.
+plain frozen dataclasses, and the analyzed code is never imported.
 
 On top of the summaries the graph resolves:
 
@@ -44,10 +41,6 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from .core import AnalyzerConfig, ModuleContext
-
-#: Version of the serialized :class:`ModuleSummary` wire shape; bumping
-#: it invalidates every cached summary.
-SUMMARY_VERSION = 1
 
 #: Marker comment declaring a module-level mutable global fork-safe on
 #: purpose (content-addressed, import-time-populated, ...).  Applies to
@@ -92,7 +85,7 @@ FuncKey = Tuple[str, str]
 
 
 # ---------------------------------------------------------------------------
-# Summary data model (all JSON-round-trippable)
+# Summary data model
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class ImportRecord:
@@ -104,25 +97,6 @@ class ImportRecord:
     names: Tuple[Tuple[str, str], ...]  # (imported name, bound-as name)
     lineno: int
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "module": self.module,
-            "level": self.level,
-            "names": [list(pair) for pair in self.names],
-            "lineno": self.lineno,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "ImportRecord":
-        return ImportRecord(
-            kind=data["kind"],
-            module=data["module"],
-            level=data["level"],
-            names=tuple((n, b) for n, b in data["names"]),
-            lineno=data["lineno"],
-        )
-
 
 @dataclass(frozen=True)
 class CallArg:
@@ -132,23 +106,6 @@ class CallArg:
     keyword: str  # "" for positional arguments
     display: str  # source-ish name, for messages
     suffix: str  # the unit suffix token ("ms", "g", ...)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "position": self.position,
-            "keyword": self.keyword,
-            "display": self.display,
-            "suffix": self.suffix,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "CallArg":
-        return CallArg(
-            position=data["position"],
-            keyword=data["keyword"],
-            display=data["display"],
-            suffix=data["suffix"],
-        )
 
 
 @dataclass(frozen=True)
@@ -164,31 +121,6 @@ class CallSite:
     assigned_display: str = ""  # ``x_s = call(...)`` target name
     assigned_suffix: str = ""  # its unit suffix
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "lineno": self.lineno,
-            "col": self.col,
-            "n_args": self.n_args,
-            "has_star": self.has_star,
-            "args": [arg.to_dict() for arg in self.args],
-            "assigned_display": self.assigned_display,
-            "assigned_suffix": self.assigned_suffix,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "CallSite":
-        return CallSite(
-            callee=data["callee"],
-            lineno=data["lineno"],
-            col=data["col"],
-            n_args=data["n_args"],
-            has_star=data["has_star"],
-            args=tuple(CallArg.from_dict(a) for a in data["args"]),
-            assigned_display=data["assigned_display"],
-            assigned_suffix=data["assigned_suffix"],
-        )
-
 
 @dataclass(frozen=True)
 class MutationSite:
@@ -199,25 +131,6 @@ class MutationSite:
     how: str  # "method:<name>" | "subscript" | "rebind" | "delete"
     guards: Tuple[str, ...]  # enclosing ``with`` context expressions
     via_param: str = ""  # parameter name when aliased via a default
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target": self.target,
-            "lineno": self.lineno,
-            "how": self.how,
-            "guards": list(self.guards),
-            "via_param": self.via_param,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "MutationSite":
-        return MutationSite(
-            target=data["target"],
-            lineno=data["lineno"],
-            how=data["how"],
-            guards=tuple(data["guards"]),
-            via_param=data["via_param"],
-        )
 
 
 @dataclass(frozen=True)
@@ -237,39 +150,6 @@ class FunctionSummary:
     refs: Tuple[str, ...]  # non-local names read (incl. "mod.name")
     mutations: Tuple[MutationSite, ...]
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "is_method": self.is_method,
-            "decorated": self.decorated,
-            "params": list(self.params),
-            "n_positional": self.n_positional,
-            "has_vararg": self.has_vararg,
-            "has_kwarg": self.has_kwarg,
-            "default_aliases": [list(pair) for pair in self.default_aliases],
-            "calls": [call.to_dict() for call in self.calls],
-            "refs": list(self.refs),
-            "mutations": [m.to_dict() for m in self.mutations],
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "FunctionSummary":
-        return FunctionSummary(
-            name=data["name"],
-            lineno=data["lineno"],
-            is_method=data["is_method"],
-            decorated=data["decorated"],
-            params=tuple(data["params"]),
-            n_positional=data["n_positional"],
-            has_vararg=data["has_vararg"],
-            has_kwarg=data["has_kwarg"],
-            default_aliases=tuple((p, g) for p, g in data["default_aliases"]),
-            calls=tuple(CallSite.from_dict(c) for c in data["calls"]),
-            refs=tuple(data["refs"]),
-            mutations=tuple(MutationSite.from_dict(m) for m in data["mutations"]),
-        )
-
 
 @dataclass(frozen=True)
 class GlobalVar:
@@ -280,25 +160,6 @@ class GlobalVar:
     mutable: bool
     fork_safe: bool  # carries a ``# reprolint: fork-safe`` marker
     kind: str  # "list" | "dict" | "set" | "comprehension" | "call"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "mutable": self.mutable,
-            "fork_safe": self.fork_safe,
-            "kind": self.kind,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "GlobalVar":
-        return GlobalVar(
-            name=data["name"],
-            lineno=data["lineno"],
-            mutable=data["mutable"],
-            fork_safe=data["fork_safe"],
-            kind=data["kind"],
-        )
 
 
 @dataclass(frozen=True)
@@ -311,25 +172,6 @@ class WorkerEntry:
     lineno: int
     function: str  # enclosing function name or "<module>"
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "callee": self.callee,
-            "kind": self.kind,
-            "method": self.method,
-            "lineno": self.lineno,
-            "function": self.function,
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "WorkerEntry":
-        return WorkerEntry(
-            callee=data["callee"],
-            kind=data["kind"],
-            method=data["method"],
-            lineno=data["lineno"],
-            function=data["function"],
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
@@ -337,7 +179,6 @@ class ModuleSummary:
 
     module: str  # dotted module name ("repro.batch.engine")
     path: str  # posix path as analyzed
-    sha256: str  # content hash of the source bytes
     is_package: bool  # file is an ``__init__.py``
     imports: Tuple[ImportRecord, ...]
     symbols: Dict[str, str]  # top-level name -> "function"|"class"|"const"
@@ -352,59 +193,6 @@ class ModuleSummary:
     all_refs: Tuple[str, ...]  # every identifier referenced anywhere
     suppressed_lines: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     file_suppressed: Tuple[str, ...] = ()
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "version": SUMMARY_VERSION,
-            "module": self.module,
-            "path": self.path,
-            "sha256": self.sha256,
-            "is_package": self.is_package,
-            "imports": [imp.to_dict() for imp in self.imports],
-            "symbols": dict(self.symbols),
-            "symbol_lines": dict(self.symbol_lines),
-            "all_names": None if self.all_names is None else list(self.all_names),
-            "all_lineno": self.all_lineno,
-            "functions": [fn.to_dict() for fn in self.functions],
-            "module_globals": [g.to_dict() for g in self.module_globals],
-            "worker_entries": [w.to_dict() for w in self.worker_entries],
-            "locks": list(self.locks),
-            "dynamic_exports": self.dynamic_exports,
-            "all_refs": list(self.all_refs),
-            "suppressed_lines": [
-                [line, sorted(rules)]
-                for line, rules in sorted(self.suppressed_lines.items())
-            ],
-            "file_suppressed": sorted(self.file_suppressed),
-        }
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> Optional["ModuleSummary"]:
-        """Rebuild a summary; None when the serialized version is stale."""
-        if data.get("version") != SUMMARY_VERSION:
-            return None
-        all_names = data["all_names"]
-        return ModuleSummary(
-            module=data["module"],
-            path=data["path"],
-            sha256=data["sha256"],
-            is_package=data["is_package"],
-            imports=tuple(ImportRecord.from_dict(i) for i in data["imports"]),
-            symbols=dict(data["symbols"]),
-            symbol_lines={k: int(v) for k, v in data["symbol_lines"].items()},
-            all_names=None if all_names is None else tuple(all_names),
-            all_lineno=data["all_lineno"],
-            functions=tuple(FunctionSummary.from_dict(f) for f in data["functions"]),
-            module_globals=tuple(GlobalVar.from_dict(g) for g in data["module_globals"]),
-            worker_entries=tuple(WorkerEntry.from_dict(w) for w in data["worker_entries"]),
-            locks=tuple(data["locks"]),
-            dynamic_exports=data["dynamic_exports"],
-            all_refs=tuple(data["all_refs"]),
-            suppressed_lines={
-                int(line): tuple(rules) for line, rules in data["suppressed_lines"]
-            },
-            file_suppressed=tuple(data["file_suppressed"]),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -948,7 +736,7 @@ def _fork_safe_lines(lines: Sequence[str]) -> Set[int]:
 
 
 def extract_summary(
-    module: "ModuleContext", module_name: str, sha256: str
+    module: "ModuleContext", module_name: str
 ) -> ModuleSummary:
     """Build the :class:`ModuleSummary` of one parsed module."""
     from .rules import unit_suffix  # local import: rules imports core
@@ -979,7 +767,6 @@ def extract_summary(
     return ModuleSummary(
         module=module_name,
         path=module.path.as_posix(),
-        sha256=sha256,
         is_package=module.path.stem == "__init__",
         imports=tuple(visitor.imports),
         symbols=visitor.symbols,
@@ -1061,36 +848,6 @@ class ProjectGraph:
             base.extend(record.module.split("."))
         return ".".join(base) or None
 
-    def project_imports(self, summary: ModuleSummary) -> Set[str]:
-        """Project modules this module directly imports (named edges)."""
-        found: Set[str] = set()
-        for record in summary.imports:
-            if record.kind == "import":
-                for target, _bound in record.names:
-                    if target in self.modules:
-                        found.add(target)
-            else:
-                source = self.absolute_import(summary, record)
-                if source is None:
-                    continue
-                if source in self.modules:
-                    found.add(source)
-                for name, _bound in record.names:
-                    submodule = f"{source}.{name}"
-                    if submodule in self.modules:
-                        found.add(submodule)
-        found.discard(summary.module)
-        return found
-
-    def dependents_map(self) -> Dict[str, Set[str]]:
-        """Reverse import edges: module -> modules importing it."""
-        reverse: Dict[str, Set[str]] = {}
-        for summary in self.by_path.values():
-            for imported in self.project_imports(summary):
-                reverse.setdefault(imported, set()).add(summary.module)
-        return reverse
-
-    # -- name resolution -------------------------------------------------
     def bindings(self, module: str) -> Dict[str, Resolved]:
         """Top-level name bindings of one module (defs shadow imports)."""
         cached = self._bindings_cache.get(module)
@@ -1309,7 +1066,6 @@ __all__ = [
     "ModuleSummary",
     "MutationSite",
     "ProjectGraph",
-    "SUMMARY_VERSION",
     "WorkerEntry",
     "extract_summary",
     "module_name_for",

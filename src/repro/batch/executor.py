@@ -29,8 +29,7 @@ result:
   wire format), so an interrupted million-point study resumes from its
   completed shards instead of restarting.
 
-Identical chunks (by content hash) are dispatched once and fanned back
-out on join, and every worker process starts with a *fresh*
+Every worker process starts with a *fresh*
 :data:`~repro.batch.engine.DEFAULT_CACHE` — a forked snapshot of the
 parent's cache is cleared by the worker initializer, so cross-spec
 state can never leak between runs.
@@ -42,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,17 +90,12 @@ _MANIFEST_NAME = "manifest.json"
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Shard:
-    """One row-range unit of work.
-
-    ``task`` is the picklable worker payload; ``key`` (when set) is a
-    content hash used to dispatch identical chunks only once.
-    """
+    """One row-range unit of work; ``task`` is the picklable worker payload."""
 
     index: int
     start: int
     stop: int
     task: Dict[str, Any]
-    key: Optional[str] = None
 
     def __len__(self) -> int:
         return self.stop - self.start
@@ -125,9 +120,9 @@ class ShardResult:
     extras: Optional[Dict[str, np.ndarray]] = None
     #: The worker's shipped observability payload (``{"events",
     #: "counters", "elapsed_s"}``) when a traced shard ran in a worker
-    #: *process*; ``None`` otherwise — untraced runs, dedupe copies,
-    #: and in-process (serial/thread) shards, whose spans land directly
-    #: in the parent tracer.  Not part of the checkpoint wire format —
+    #: *process*; ``None`` otherwise — untraced runs and in-process
+    #: (serial/thread) shards, whose spans land directly in the parent
+    #: tracer.  Not part of the checkpoint wire format —
     #: timings of a past run are not needed to resume it.
     telemetry: Optional[Dict[str, Any]] = None
 
@@ -214,10 +209,9 @@ def iter_chunks(
     """Stream the row-range shards of a matrix or a study spec.
 
     For a :class:`DesignMatrix`, each shard's task carries slices of
-    the parent's columns (``O(chunk_rows)`` pickled bytes per shard)
-    plus a content hash so identical chunks dispatch once.  For a
-    :class:`~repro.study.spec.StudySpec`, the task carries only the
-    spec and the ``[start, stop)`` range — the worker rebuilds its rows
+    the parent's columns (``O(chunk_rows)`` pickled bytes per shard).
+    For a :class:`~repro.study.spec.StudySpec`, the task carries only
+    the spec and the ``[start, stop)`` range — the worker rebuilds its rows
     by index arithmetic, so the full grid never exists in the parent;
     the spec's own ``knee_fraction``/``tolerance`` apply.
 
@@ -238,18 +232,6 @@ def iter_chunks(
         for index, (start, stop) in enumerate(
             shard_ranges(len(source), chunk_rows)
         ):
-            columns = {
-                name: column[start:stop]
-                for name, column in zip(source.column_names, source.columns())
-            }
-            labels = (
-                source.labels[start:stop]
-                if source.labels is not None
-                else None
-            )
-            chunk = DesignMatrix.from_arrays(
-                **columns, labels=labels, knee_fraction=source.knee_fraction
-            )
             yield Shard(
                 index=index,
                 start=start,
@@ -260,22 +242,26 @@ def iter_chunks(
                     "start": start,
                     "stop": stop,
                     "columns": {
-                        name: getattr(chunk, name)
-                        for name in chunk.column_names
+                        name: column[start:stop]
+                        for name, column in zip(
+                            source.column_names, source.columns()
+                        )
                     },
-                    "labels": chunk.labels,
-                    "matrix_knee_fraction": chunk.knee_fraction,
+                    "labels": (
+                        source.labels[start:stop]
+                        if source.labels is not None
+                        else None
+                    ),
+                    "matrix_knee_fraction": source.knee_fraction,
                     "knee_fraction": resolved,
                     "tolerance": tolerance,
                     "reduce": reduce,
                 },
-                key=_matrix_digest(chunk, resolved, tolerance),
             )
         return
     if isinstance(source, StudySpec):
         from ..study.planner import study_size
 
-        digest = _spec_digest(source)
         for index, (start, stop) in enumerate(
             shard_ranges(study_size(source), chunk_rows)
         ):
@@ -293,7 +279,6 @@ def iter_chunks(
                     "tolerance": source.tolerance,
                     "reduce": reduce,
                 },
-                key=f"{digest}:{start}:{stop}:{reduce!r}",
             )
         return
     raise ConfigurationError(
@@ -491,49 +476,25 @@ class ParallelExecutor:
         self,
         shards: Iterable[Shard],
         tracer: Optional[Tracer] = None,
-        progress: Optional[ProgressCallback] = None,
     ) -> Iterator[ShardResult]:
         """Evaluate shards, yielding results as they complete.
 
-        Identical shards (same content ``key``) are evaluated once and
-        fanned back out to every duplicate.  Completion order is
-        arbitrary for parallel backends; consumers that need global
-        order collect by :attr:`ShardResult.index`.
+        Completion order is arbitrary for parallel backends; consumers
+        that need global order collect by :attr:`ShardResult.index`.
 
-        ``tracer`` opts workers into span recording: each unique shard
+        ``tracer`` opts workers into span recording: each shard
         contributes a parent-side ``shard.task`` span (dispatch →
         result receipt, with ``queue_wait_s``/``compute_s``
         attributes) and its worker-side spans
         (``shard.compile``/``shard.evaluate``/…) under
-        ``tid = shard_index + 1``, plus ``shards.completed``/
-        ``shards.dedupe_hits`` counters, worker cache counters, and a
-        running ``rows_per_s`` gauge.  In-process workers (serial and
-        thread backends) record those spans directly into ``tracer``
-        via :meth:`~repro.obs.tracer.Tracer.track`; process workers
-        ship them home as wire dicts (rebased on absorption, and also
+        ``tid = shard_index + 1``, plus a ``shards.completed``
+        counter, worker cache counters, and a running ``rows_per_s``
+        gauge.  In-process workers (serial and thread backends) record
+        those spans directly into ``tracer`` via
+        :meth:`~repro.obs.tracer.Tracer.track`; process workers ship
+        them home as wire dicts (rebased on absorption, and also
         exposed as :attr:`ShardResult.telemetry`).
-        ``progress`` is called with a
-        :class:`~repro.obs.progress.Progress` snapshot after every
-        yielded result (dedupe copies included) — the hook a progress
-        bar or a serving layer's progress endpoint attaches to.
         """
-        shard_list = list(shards)
-        primaries: Dict[str, Shard] = {}
-        followers: Dict[int, List[Shard]] = {}
-        unique: List[Shard] = []
-        for shard in shard_list:
-            first = primaries.get(shard.key) if shard.key else None
-            if first is None:
-                if shard.key:
-                    primaries[shard.key] = shard
-                unique.append(shard)
-                followers[shard.index] = []
-            else:
-                followers[first.index].append(shard)
-
-        total = len(shard_list)
-        rows_total = sum(len(s) for s in shard_list)
-        completed = 0
         rows_done = 0
         started = perf_counter()
         overrides: Dict[str, Any] = (
@@ -565,96 +526,67 @@ class ParallelExecutor:
             tracer.counter("shards.completed") if tracer is not None else None
         )
 
-        def advance(result: ShardResult) -> ShardResult:
-            nonlocal completed, rows_done
-            completed += 1
-            rows_done += result.stop - result.start
-            elapsed = perf_counter() - started
-            if rate_gauge is not None and elapsed > 0:
-                rate_gauge.set(rows_done / elapsed)
-            if progress is not None:
-                progress(
-                    Progress(
-                        done=completed,
-                        total=total,
-                        rows_done=rows_done,
-                        rows_total=rows_total,
-                        elapsed_s=elapsed,
-                    )
-                )
-            return result
-
-        def note_unique(
+        def finish(
             shard: Shard,
             outcome: Dict[str, Any],
             dispatch_clock: float,
             finish_clock: float,
-        ) -> None:
-            """Record the parent-side view of one evaluated shard."""
-            if tracer is None:
-                return
-            telemetry = outcome.get("telemetry")
-            worker_s = (
-                outcome.get("elapsed_s")
-                if telemetry is None
-                else telemetry.get("elapsed_s")
-            )
-            attrs: Dict[str, Any] = {
-                "shard": shard.index, "rows": len(shard)
-            }
-            if worker_s is not None:
-                attrs["compute_s"] = round(worker_s, 6)
-                attrs["queue_wait_s"] = round(
-                    max(0.0, finish_clock - dispatch_clock - worker_s), 6
+        ) -> ShardResult:
+            """Record the parent-side view of one shard; wrap its result."""
+            nonlocal rows_done
+            rows_done += len(shard)
+            if tracer is not None:
+                telemetry = outcome.get("telemetry")
+                worker_s = (
+                    outcome.get("elapsed_s")
+                    if telemetry is None
+                    else telemetry.get("elapsed_s")
                 )
-            tracer.record_clock(
-                "shard.task", dispatch_clock, finish_clock, **attrs
-            )
-            if telemetry:  # process workers: merge the wire payload
-                if telemetry.get("events"):
-                    tracer.absorb(
-                        telemetry["events"],
-                        tid=shard.index + 1,
-                        end_clock=finish_clock,
-                        shard=shard.index,
+                attrs: Dict[str, Any] = {
+                    "shard": shard.index, "rows": len(shard)
+                }
+                if worker_s is not None:
+                    attrs["compute_s"] = round(worker_s, 6)
+                    attrs["queue_wait_s"] = round(
+                        max(0.0, finish_clock - dispatch_clock - worker_s), 6
                     )
-                if telemetry.get("counters"):
-                    tracer.merge_counters(telemetry["counters"])
-            completed_counter.add()
-
-        def fan_out(
-            shard: Shard, outcome: Dict[str, Any]
-        ) -> Iterator[ShardResult]:
-            for target in (shard, *followers[shard.index]):
-                if target is not shard and tracer is not None:
-                    tracer.counter("shards.dedupe_hits").add()
-                yield advance(
-                    ShardResult(
-                        index=target.index,
-                        start=target.start,
-                        stop=target.stop,
-                        batch=outcome["batch"],
-                        local_indices=outcome["local_indices"],
-                        extras=outcome["extras"],
-                        telemetry=(
-                            outcome.get("telemetry")
-                            if target is shard
-                            else None
-                        ),
-                    )
+                tracer.record_clock(
+                    "shard.task", dispatch_clock, finish_clock, **attrs
                 )
+                if telemetry:  # process workers: merge the wire payload
+                    if telemetry.get("events"):
+                        tracer.absorb(
+                            telemetry["events"],
+                            tid=shard.index + 1,
+                            end_clock=finish_clock,
+                            shard=shard.index,
+                        )
+                    if telemetry.get("counters"):
+                        tracer.merge_counters(telemetry["counters"])
+                completed_counter.add()
+            elapsed = perf_counter() - started
+            if rate_gauge is not None and elapsed > 0:
+                rate_gauge.set(rows_done / elapsed)
+            return ShardResult(
+                index=shard.index,
+                start=shard.start,
+                stop=shard.stop,
+                batch=outcome["batch"],
+                local_indices=outcome["local_indices"],
+                extras=outcome["extras"],
+                telemetry=outcome.get("telemetry"),
+            )
 
         if self.backend == "serial":
-            for shard in unique:
+            for shard in shards:
                 dispatched = perf_counter()
                 outcome = _evaluate_shard(worker_task(shard))
-                note_unique(shard, outcome, dispatched, perf_counter())
-                yield from fan_out(shard, outcome)
+                yield finish(shard, outcome, dispatched, perf_counter())
             return
         pool = self._ensure_pool()
         future_to_shard: Dict[Future, Shard] = {}
         dispatch_clock: Dict[Future, float] = {}
-        for shard in unique:
+        for shard in shards:
             future = pool.submit(_evaluate_shard, worker_task(shard))
             future_to_shard[future] = shard
             dispatch_clock[future] = perf_counter()
@@ -664,10 +596,9 @@ class ParallelExecutor:
             for future in done:
                 shard = future_to_shard[future]
                 outcome = future.result()
-                note_unique(
+                yield finish(
                     shard, outcome, dispatch_clock[future], perf_counter()
                 )
-                yield from fan_out(shard, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -846,9 +777,23 @@ class CheckpointStore:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write ``text`` to ``path`` via a rename, safe for racing writers.
+
+    Each writer stages to its own temp name (pid + thread id), so two
+    actors publishing the same record — a stolen distrib shard, or
+    ``manifest.json``/``spec.json`` written by every joining worker —
+    never rename each other's temp file away.  The ``.tmp`` suffix
+    keeps the staging file out of the ``shard-*.jsonl`` record glob.
+    """
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

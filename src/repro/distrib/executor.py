@@ -27,7 +27,7 @@ import socket
 import threading
 import zlib
 from pathlib import Path
-from time import perf_counter, sleep
+from time import sleep
 from typing import (
     Any,
     Callable,
@@ -50,7 +50,6 @@ from ..batch.executor import (
     _evaluate_shard,
 )
 from ..errors import ConfigurationError, StaleLeaseError
-from ..obs.progress import Progress, ProgressCallback
 from ..obs.tracer import Tracer, maybe_span
 from .lease import DEFAULT_LEASE_TTL_S, LeaseStore
 
@@ -425,7 +424,6 @@ class DistributedExecutor:
         self,
         shards: Iterable[Shard],
         tracer: Optional[Tracer] = None,
-        progress: Optional[ProgressCallback] = None,
     ) -> Iterator[ShardResult]:
         """Yield every requested shard's result via the lease protocol.
 
@@ -452,11 +450,6 @@ class DistributedExecutor:
         pump = _HeartbeatPump(
             leases, self.heartbeat_interval_s, tracer=tracer
         )
-        total = len(shard_list)
-        rows_total = sum(len(shard) for shard in shard_list)
-        done = 0
-        rows_done = 0
-        started = perf_counter()
         pump.start()
         try:
             for _event, result in _drive(
@@ -468,18 +461,6 @@ class DistributedExecutor:
                 pump,
                 tracer=tracer,
             ):
-                done += 1
-                rows_done += result.stop - result.start
-                if progress is not None:
-                    progress(
-                        Progress(
-                            done=done,
-                            total=total,
-                            rows_done=rows_done,
-                            rows_total=rows_total,
-                            elapsed_s=perf_counter() - started,
-                        )
-                    )
                 yield result
         finally:
             pump.stop()

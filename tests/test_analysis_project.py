@@ -1,43 +1,33 @@
-"""Tests for reprolint v2: ProjectGraph, RPL007-009, cache, baseline, SARIF.
+"""Tests for reprolint's whole-program layer: ProjectGraph and RPL007-009.
 
 Covers the whole-program layer added on top of the per-file engine:
 
 * :mod:`repro.analysis.graph` — module naming, import resolution
-  (absolute, relative, re-export chains, cycles), summaries and their
-  JSON round-trip, worker-entry resolution and call-graph reachability;
+  (absolute, relative, re-export chains, cycles), worker-entry
+  resolution and call-graph reachability;
 * the three interprocedural rules against their fixture mini-projects,
   including the PR-4 ``DEFAULT_CACHE`` fork-inheritance reproduction;
-* the incremental cache — warm runs analyze nothing, a leaf edit
-  re-analyzes exactly the leaf plus its dependents, and a cached rerun
-  on an unchanged tree is at least 5x faster than a cold run;
-* the baseline/ratchet workflow and the SARIF exporter;
 * analyzer edge inputs: syntax errors, empty files, non-UTF-8 source;
-* the new CLI flags.
+* the wider tree (``tests``, ``benchmarks``) linting clean;
+* the CLI flags.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
 from typing import Dict, List
 
 import pytest
 
 from repro.analysis import (
-    AnalysisCache,
     Analyzer,
     AnalyzerConfig,
     ModuleContext,
     ProjectGraph,
     extract_summary,
 )
-from repro.analysis import baseline as baselinelib
 from repro.analysis import cli
-from repro.analysis import sarif as sariflib
-from repro.analysis.cache import compute_config_key
-from repro.analysis.core import Finding
-from repro.analysis.graph import ModuleSummary, module_name_for
+from repro.analysis.graph import module_name_for
 from repro.errors import ConfigurationError
 
 FIXTURES = Path(__file__).parent / "data" / "reprolint_fixtures"
@@ -63,7 +53,7 @@ def build_graph(root: Path, files: Dict[str, str]) -> ProjectGraph:
     for path in write_tree(root, files):
         module = ModuleContext(path, path.read_text(encoding="utf-8"))
         summaries.append(
-            extract_summary(module, module_name_for(path), "deadbeef")
+            extract_summary(module, module_name_for(path))
         )
     return ProjectGraph(summaries, AnalyzerConfig())
 
@@ -174,34 +164,6 @@ class TestProjectGraph:
         chain = graph.witness_chain(reached, ("pkg.work", "leaf"))
         assert chain == ["entry", "leaf"]
 
-    def test_dependents_map_reverses_import_edges(self, tmp_path):
-        graph = build_graph(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/base.py": "X = 1\n",
-                "pkg/mid.py": "from .base import X\n",
-            },
-        )
-        dependents = graph.dependents_map()
-        assert dependents["pkg.base"] == {"pkg.mid"}
-
-    def test_summary_json_round_trip(self):
-        source = (FIXTURES / "rpl007_violations.py").read_text(
-            encoding="utf-8"
-        )
-        module = ModuleContext(FIXTURES / "rpl007_violations.py", source)
-        summary = extract_summary(module, "rpl007_violations", "abc123")
-        rebuilt = ModuleSummary.from_dict(summary.to_dict())
-        assert rebuilt == summary
-
-    def test_stale_summary_version_rejected(self):
-        source = "X = 1\n"
-        module = ModuleContext(Path("m.py"), source)
-        summary = extract_summary(module, "m", "abc")
-        document = summary.to_dict()
-        document["version"] = -1
-        assert ModuleSummary.from_dict(document) is None
 
 
 # ---------------------------------------------------------------------------
@@ -586,249 +548,22 @@ class TestEdgeInputs:
         )
         analyzer = Analyzer(AnalyzerConfig(exclude=("pkg/vendored",)))
         assert analyzer.check_paths([tmp_path / "pkg"]) == []
-        assert analyzer.last_stats.files_checked == 2
+        assert len(analyzer.collect_files([tmp_path / "pkg"])) == 2
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
+# the wider tree
 # ---------------------------------------------------------------------------
-def _chain_tree(n_modules: int, lines_per_module: int = 30) -> Dict[str, str]:
-    """A pkg of n chained modules: mod_i imports mod_{i-1}."""
-    files = {"bigpkg/__init__.py": ""}
-    for index in range(n_modules):
-        body = []
-        if index:
-            body.append(f"from .mod_{index - 1} import hop_{index - 1}")
-            body.append("")
-        for line in range(lines_per_module):
-            body.append(f"def fn_{line}_{index}(value_s):")
-            body.append(f"    return value_s + {line}")
-            body.append("")
-        body.append(f"def hop_{index}(value_s):")
-        if index:
-            body.append(f"    return hop_{index - 1}(value_s) + 1")
-        else:
-            body.append("    return value_s")
-        body.append("")
-        files[f"bigpkg/mod_{index}.py"] = "\n".join(body)
-    return files
-
-
-class TestIncrementalCache:
-    def _cache(self, tmp_path) -> AnalysisCache:
-        return AnalysisCache(tmp_path / "cache.json", "test-key")
-
-    def test_warm_run_analyzes_nothing_and_matches_cold(self, tmp_path):
-        write_tree(tmp_path, _chain_tree(6))
-        target = tmp_path / "bigpkg"
-        analyzer = Analyzer()
-        cold = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 7
-        warm = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 0
-        assert analyzer.last_stats.cached == 7
-        assert warm == cold
-
-    def test_leaf_edit_reanalyzes_leaf_plus_dependents_only(self, tmp_path):
-        write_tree(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/c.py": "def f_c():\n    return 1\n",
-                "pkg/b.py": "from .c import f_c\n\n\ndef f_b():\n    return f_c()\n",
-                "pkg/a.py": "from .b import f_b\n\n\ndef f_a():\n    return f_b()\n",
-                "pkg/island.py": "def lonely():\n    return 0\n",
-            },
-        )
-        target = tmp_path / "pkg"
-        analyzer = Analyzer()
-        analyzer.check_paths([target], cache=self._cache(tmp_path))
-        # Edit the chain's leaf: c, its importer b, and b's importer a
-        # re-analyze; __init__ and the unrelated island stay cached.
-        leaf = tmp_path / "pkg" / "c.py"
-        leaf.write_text(
-            leaf.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
-        )
-        analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 3
-        assert analyzer.last_stats.cached == 2
-        # Edit the top of the chain: nothing imports a, so only a runs.
-        top = tmp_path / "pkg" / "a.py"
-        top.write_text(
-            top.read_text(encoding="utf-8") + "\n# touched\n",
-            encoding="utf-8",
-        )
-        analyzer.check_paths([target], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 1
-
-    def test_unchanged_tree_rerun_is_5x_faster(self, tmp_path):
-        write_tree(tmp_path, _chain_tree(40))
-        target = tmp_path / "bigpkg"
-        analyzer = Analyzer()
-
-        start = time.perf_counter()
-        cold = analyzer.check_paths([target], cache=self._cache(tmp_path))
-        cold_s = time.perf_counter() - start
-        assert analyzer.last_stats.analyzed == 41
-
-        warm_s = float("inf")
-        for _ in range(2):
-            start = time.perf_counter()
-            warm = analyzer.check_paths(
-                [target], cache=self._cache(tmp_path)
-            )
-            warm_s = min(warm_s, time.perf_counter() - start)
-        assert analyzer.last_stats.analyzed == 0
-        assert warm == cold
-        assert cold_s >= 5 * warm_s, (
-            f"cold {cold_s:.3f}s vs warm {warm_s:.3f}s — cache speedup "
-            f"below the 5x floor"
-        )
-
-    def test_cached_findings_survive_round_trip(self, tmp_path):
-        path = tmp_path / "dirty.py"
-        path.write_text(
-            "def f(mass_g, power_w):\n    return mass_g + power_w\n",
-            encoding="utf-8",
-        )
-        analyzer = Analyzer()
-        cold = analyzer.check_paths([path], cache=self._cache(tmp_path))
-        warm = analyzer.check_paths([path], cache=self._cache(tmp_path))
-        assert analyzer.last_stats.analyzed == 0
-        assert warm == cold
-        assert rules_of(warm) == ["RPL001"]
-
-    def test_config_key_mismatch_drops_entries(self, tmp_path):
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        target = tmp_path / "pkg"
-        analyzer = Analyzer()
-        analyzer.check_paths(
-            [target], cache=AnalysisCache(tmp_path / "c.json", "key-one")
-        )
-        analyzer.check_paths(
-            [target], cache=AnalysisCache(tmp_path / "c.json", "key-two")
-        )
-        assert analyzer.last_stats.analyzed == 2
-
-    def test_corrupt_cache_file_starts_cold(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        analyzer = Analyzer()
-        analyzer.check_paths(
-            [tmp_path / "pkg"], cache=AnalysisCache(cache_path, "k")
-        )
-        assert analyzer.last_stats.analyzed == 2
-        # and the bad file was replaced by a valid one
-        assert json.loads(cache_path.read_text(encoding="utf-8"))
-
-    def test_compute_config_key_tracks_select(self):
-        base = compute_config_key(AnalyzerConfig())
-        assert base == compute_config_key(AnalyzerConfig())
-        assert base != compute_config_key(
-            AnalyzerConfig(select=("RPL001",))
-        )
-
-
-# ---------------------------------------------------------------------------
-# baseline / ratchet
-# ---------------------------------------------------------------------------
-def _finding(path: str, rule: str, line: int = 1) -> Finding:
-    return Finding(path=path, line=line, col=1, rule=rule, message="msg")
-
-
-class TestBaseline:
-    def test_round_trip(self, tmp_path):
-        findings = [
-            _finding(str(tmp_path / "a.py"), "RPL002"),
-            _finding(str(tmp_path / "a.py"), "RPL002", line=9),
-            _finding(str(tmp_path / "b.py"), "RPL005"),
-        ]
-        target = tmp_path / "base.json"
-        baselinelib.write_baseline(target, findings, tmp_path)
-        entries = baselinelib.load_baseline(target)
-        assert entries == {"a.py": {"RPL002": 2}, "b.py": {"RPL005": 1}}
-
-    def test_apply_suppresses_known_and_reports_exceeded(self, tmp_path):
-        entries = {"a.py": {"RPL002": 1}}
-        within = [_finding(str(tmp_path / "a.py"), "RPL002")]
-        new, baselined, stale = baselinelib.apply_baseline(
-            within, entries, tmp_path
-        )
-        assert new == [] and len(baselined) == 1 and stale == []
-        exceeded = [
-            _finding(str(tmp_path / "a.py"), "RPL002", line=1),
-            _finding(str(tmp_path / "a.py"), "RPL002", line=2),
-        ]
-        new, baselined, stale = baselinelib.apply_baseline(
-            exceeded, entries, tmp_path
-        )
-        assert len(new) == 2 and baselined == []
-
-    def test_apply_warns_on_stale_entries(self, tmp_path):
-        entries = {"a.py": {"RPL002": 3}, "gone.py": {"RPL001": 1}}
-        findings = [_finding(str(tmp_path / "a.py"), "RPL002")]
-        new, baselined, stale = baselinelib.apply_baseline(
-            findings, entries, tmp_path
-        )
-        assert new == [] and len(baselined) == 1
-        assert len(stale) == 2
-        assert any("gone.py" in warning for warning in stale)
-
-    def test_invalid_baseline_is_configuration_error(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99}', encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            baselinelib.load_baseline(bad)
-        with pytest.raises(ConfigurationError):
-            baselinelib.load_baseline(tmp_path / "missing.json")
-
-    def test_committed_baseline_covers_tests_and_benchmarks(self):
-        """The CI ratchet contract: no NEW findings beyond the baseline."""
-        baseline_path = REPO_ROOT / ".reprolint-baseline.json"
-        assert baseline_path.is_file(), "commit .reprolint-baseline.json"
-        entries = baselinelib.load_baseline(baseline_path)
+class TestWiderTree:
+    def test_tests_and_benchmarks_lint_clean(self):
+        """CI's second reprolint run: the wider tree has no findings."""
         analyzer = Analyzer(
             AnalyzerConfig(exclude=("tests/data/reprolint_fixtures",))
         )
         findings = analyzer.check_paths(
             [SRC_REPRO, REPO_ROOT / "tests", REPO_ROOT / "benchmarks"]
         )
-        new, _baselined, _stale = baselinelib.apply_baseline(
-            findings, entries, REPO_ROOT
-        )
-        assert new == [], "\n".join(f.format() for f in new)
-
-
-# ---------------------------------------------------------------------------
-# SARIF export
-# ---------------------------------------------------------------------------
-class TestSarif:
-    def test_document_structure(self, tmp_path):
-        findings = [_finding(str(tmp_path / "a.py"), "RPL002", line=4)]
-        baselined = [_finding(str(tmp_path / "b.py"), "RPL001", line=7)]
-        document = sariflib.to_sarif(findings, tmp_path, baselined)
-        assert document["version"] == "2.1.0"
-        run = document["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids[0] == "RPL000"
-        assert "RPL007" in rule_ids and "RPL009" in rule_ids
-        results = run["results"]
-        assert len(results) == 2
-        by_rule = {r["ruleId"]: r for r in results}
-        assert "suppressions" not in by_rule["RPL002"]
-        assert by_rule["RPL001"]["suppressions"] == [{"kind": "external"}]
-        location = by_rule["RPL002"]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "a.py"
-        assert location["region"]["startLine"] == 4
-
-    def test_write_sarif(self, tmp_path):
-        out = tmp_path / "report.sarif"
-        sariflib.write_sarif(out, [], tmp_path)
-        document = json.loads(out.read_text(encoding="utf-8"))
-        assert document["runs"][0]["results"] == []
+        assert findings == [], "\n".join(f.format() for f in findings)
 
 
 # ---------------------------------------------------------------------------
@@ -843,87 +578,6 @@ class TestProjectCli:
         assert "names no rules" in err
         assert "RPL009" in err  # the known-rules list includes new ids
 
-    def test_stats_flag_reports_cache_usage(self, tmp_path, capsys):
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        argv = [
-            str(tmp_path / "pkg"),
-            "--cache",
-            str(tmp_path / "cache.json"),
-            "--stats",
-        ]
-        assert cli.main(argv) == 0
-        assert "2 file(s) analyzed, 0 from cache" in capsys.readouterr().err
-        assert cli.main(argv) == 0
-        assert "0 file(s) analyzed, 2 from cache" in capsys.readouterr().err
-
-    def test_no_cache_forces_cold_runs(self, tmp_path, capsys):
-        write_tree(tmp_path, {"pkg/__init__.py": "", "pkg/m.py": "X = 1\n"})
-        argv = [str(tmp_path / "pkg"), "--no-cache", "--stats"]
-        cli.main(argv)
-        cli.main(argv)
-        assert "2 file(s) analyzed, 0 from cache" in capsys.readouterr().err
-
-    def test_baseline_workflow_end_to_end(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text(
-            "def f():\n    raise ValueError('nope')\n", encoding="utf-8"
-        )
-        baseline = tmp_path / "baseline.json"
-        argv_common = [str(dirty), "--no-cache"]
-        # Without a baseline the finding fails the run.
-        assert cli.main(argv_common) == 1
-        capsys.readouterr()
-        # Accept it, then the same run is clean.
-        assert (
-            cli.main([*argv_common, "--baseline", str(baseline), "--update-baseline"])
-            == 0
-        )
-        capsys.readouterr()
-        assert cli.main([*argv_common, "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-        # A second violation exceeds the accepted count and fails again.
-        dirty.write_text(
-            "def f():\n    raise ValueError('a')\n"
-            "def g():\n    raise ValueError('b')\n",
-            encoding="utf-8",
-        )
-        assert cli.main([*argv_common, "--baseline", str(baseline)]) == 1
-
-    def test_sarif_flag_writes_report(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text(
-            "def f():\n    raise ValueError('nope')\n", encoding="utf-8"
-        )
-        out = tmp_path / "report.sarif"
-        assert (
-            cli.main([str(dirty), "--no-cache", "--sarif", str(out)]) == 1
-        )
-        capsys.readouterr()
-        document = json.loads(out.read_text(encoding="utf-8"))
-        assert document["runs"][0]["results"][0]["ruleId"] == "RPL002"
-
-    def test_json_report_includes_stats_and_baseline(self, tmp_path, capsys):
-        clean = tmp_path / "clean.py"
-        clean.write_text("X = 1\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        baselinelib.write_baseline(baseline, [], tmp_path)
-        assert (
-            cli.main(
-                [
-                    str(clean),
-                    "--no-cache",
-                    "--json",
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 0
-        )
-        report = json.loads(capsys.readouterr().out)
-        assert report["stats"]["files_checked"] == 1
-        assert report["baseline"]["suppressed"] == 0
-
     def test_exclude_flag(self, tmp_path, capsys):
         write_tree(
             tmp_path,
@@ -934,7 +588,6 @@ class TestProjectCli:
         )
         argv = [
             str(tmp_path / "pkg"),
-            "--no-cache",
             "--exclude",
             "pkg/vendored",
         ]

@@ -42,6 +42,7 @@ from repro.batch import (
 )
 from repro.batch.executor import (
     DEFAULT_CHUNK_ROWS,
+    _atomic_write,
     _evaluate_shard,
     _init_worker,
     _matrix_digest,
@@ -242,7 +243,7 @@ class TestShardedEvaluate:
         sharded = evaluate_matrix_sharded(matrix, chunk_rows=7)
         assert sharded.matrix.labels == matrix.labels
 
-    def test_identical_chunks_dispatch_once(self, monkeypatch):
+    def test_identical_chunks_each_evaluate(self, monkeypatch):
         column = np.full(30, 10.0)
         matrix = DesignMatrix.from_arrays(
             column, column, column, column, column
@@ -257,7 +258,7 @@ class TestShardedEvaluate:
             lambda task: calls.append(1) or original(task),
         )
         result = evaluate_matrix_sharded(matrix, chunk_rows=10)
-        assert len(calls) == 1  # three identical chunks, one evaluation
+        assert len(calls) == 3  # no content dedupe: one evaluation per shard
         reference = evaluate_matrix(matrix, cache=None)
         assert batch_results_equal(reference, result)
 
@@ -573,6 +574,43 @@ class TestCheckpoints:
             )
         with pytest.raises(ConfigurationError, match="must be a mapping"):
             shard_manifest_from_dict([1, 2])
+
+    def test_racing_writers_of_one_record_both_succeed(
+        self, tmp_path, monkeypatch
+    ):
+        """A second writer publishing the same path mid-write is harmless.
+
+        Two distrib actors can both compute one shard (a steal, or a
+        lease race).  The second writer here stages and renames its
+        copy between the first writer's staging and its rename; with a
+        shared temp name the first rename would find its file gone.
+        """
+        import os
+        import threading
+
+        target = tmp_path / "shard-00000.jsonl"
+        real_replace = os.replace
+        racers = []
+        racer_errors = []
+
+        def racing_writer():
+            try:
+                _atomic_write(target, "second\n")
+            except Exception as exc:  # surfaced by the assert below
+                racer_errors.append(exc)
+
+        def replace_after_a_racing_writer(src, dst):
+            if not racers:
+                racers.append(threading.Thread(target=racing_writer))
+                racers[0].start()
+                racers[0].join(timeout=30)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_after_a_racing_writer)
+        _atomic_write(target, "first\n")
+        assert not racers[0].is_alive() and racer_errors == []
+        assert target.read_text(encoding="utf-8") == "first\n"
+        assert [path.name for path in tmp_path.iterdir()] == [target.name]
 
 
 # ---------------------------------------------------------------------------
@@ -1037,19 +1075,6 @@ class TestExecutorObservability:
         )
         assert tracer.counters_snapshot()["checkpoint.writes"] == 3
         assert "checkpoint.write" in tracer.span_names()
-
-    def test_dedupe_hits_counted(self):
-        from repro.obs import Tracer
-
-        column = np.full(30, 10.0)
-        matrix = DesignMatrix.from_arrays(
-            column, column, column, column, column
-        )
-        tracer = Tracer()
-        evaluate_matrix_sharded(matrix, chunk_rows=10, tracer=tracer)
-        counters = tracer.counters_snapshot()
-        assert counters["shards.completed"] == 1  # one unique chunk
-        assert counters["shards.dedupe_hits"] == 2
 
     def test_top_k_sharded_traced(self):
         from repro.obs import Tracer
